@@ -289,8 +289,8 @@ fn hybrid_gate(cfg: &BenchConfig, reg: &MetricsRegistry, entries: &mut Vec<Bench
             // perturb both variants alike instead of biasing the ratio.
             let (sparse_s, hybrid_s, sparse_res, hybrid_res) =
                 best_of_pair(ILUT_REPS, || ilut_crtp(&a, &opts), || ilut_crtp(&a, &hopts));
-            // The sequential driver publishes the transition count for the
-            // run it just finished; fold the per-tau counts into a total.
+            // `ilut_crtp` publishes the transition count for the run it
+            // just finished; fold the per-tau counts into a total.
             if let Some(lra_obs::metrics::MetricValue::Gauge(v)) =
                 lra_obs::metrics::global().get("kernel.dense_switch")
             {

@@ -143,7 +143,8 @@ pub struct RunConfig {
     /// Faults to inject (empty by default).
     pub faults: FaultPlan,
     /// Trace-lane offset for this execution's rank threads: rank `r`
-    /// traces into lane `lane_base + r`. The default (0) keeps the
+    /// traces into lane `lane_base + r` (a single-rank run stays on the
+    /// calling thread and its lane). The default (0) keeps the
     /// historical one-lane-per-rank layout; a job engine multiplexing
     /// several rank groups in one process gives each group a disjoint
     /// base so every job gets its own set of timeline lanes in the
@@ -1171,6 +1172,8 @@ fn contain_failure(rank: usize, ctx: &Ctx, payload: Box<dyn Any + Send>) -> Comm
 
 /// Run `f` as an SPMD program on `np` ranks (threads) under `config`,
 /// returning per-rank results *and* per-rank communication counters.
+/// A single rank (`np <= 1`) runs on the calling thread and traces into
+/// the caller's lane; larger groups spawn one thread per rank.
 ///
 /// A rank that panics, is chaos-killed, or times out yields
 /// `Err(CommError)`; every peer blocked on it is aborted with
@@ -1192,69 +1195,82 @@ where
         receivers.push(r);
     }
     let control = Arc::new(Control::default());
-    let senders_ref = &senders;
-    let f_ref = &f;
-    let control_ref = &control;
-    let per_rank: Vec<(Result<T, CommError>, CommStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(rank, inbox)| {
-                scope.spawn(move || {
-                    // One trace lane per rank (offset by the config's
-                    // lane base): SPMD runs export as one timeline lane
-                    // per rank in the Chrome trace, and concurrent rank
-                    // groups with disjoint bases stay disentangled.
-                    lra_obs::trace::set_lane(config.lane_base + rank as u64);
-                    let ctx = Ctx {
-                        rank,
-                        size: np,
-                        senders: senders_ref.clone(),
-                        inbox,
-                        pending: RefCell::new(Vec::new()),
-                        control: Arc::clone(control_ref),
-                        watchdog: config.watchdog.max(Duration::from_millis(1)),
-                        kill_at: config.faults.kill_op_for(rank),
-                        kill_at_iter: config.faults.kill_iteration_for(rank),
-                        kill_at_overlap: config.faults.kill_overlap_for(rank),
-                        drops: config.faults.drops_for(rank),
-                        delay: config.faults.delay_for(rank),
-                        stalls: config.faults.stalls_for(rank),
-                        overlap_stalls: config.faults.overlap_stalls_for(rank),
-                        stats: RefCell::new(CommStats::default()),
-                        op_index: Cell::new(0),
-                        coll_pc: Cell::new(0),
-                        in_collective: Cell::new(None),
-                        send_index: Cell::new(0),
-                        pending_seq: Cell::new(0),
-                    };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f_ref(&ctx)));
-                    let result = match outcome {
-                        Ok(v) => Ok(v),
-                        Err(payload) => Err(contain_failure(rank, &ctx, payload)),
-                    };
-                    (result, ctx.stats())
+    let run_rank = |rank: usize, inbox: Receiver<Envelope>| {
+        let ctx = Ctx {
+            rank,
+            size: np,
+            senders: senders.clone(),
+            inbox,
+            pending: RefCell::new(Vec::new()),
+            control: Arc::clone(&control),
+            watchdog: config.watchdog.max(Duration::from_millis(1)),
+            kill_at: config.faults.kill_op_for(rank),
+            kill_at_iter: config.faults.kill_iteration_for(rank),
+            kill_at_overlap: config.faults.kill_overlap_for(rank),
+            drops: config.faults.drops_for(rank),
+            delay: config.faults.delay_for(rank),
+            stalls: config.faults.stalls_for(rank),
+            overlap_stalls: config.faults.overlap_stalls_for(rank),
+            stats: RefCell::new(CommStats::default()),
+            op_index: Cell::new(0),
+            coll_pc: Cell::new(0),
+            in_collective: Cell::new(None),
+            send_index: Cell::new(0),
+            pending_seq: Cell::new(0),
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
+        let result = match outcome {
+            Ok(v) => Ok(v),
+            Err(payload) => Err(contain_failure(rank, &ctx, payload)),
+        };
+        // The unwind (if any) is contained; later panics on this thread
+        // must reach the normal hook again.
+        QUIET_UNWIND.with(|q| q.set(false));
+        (result, ctx.stats())
+    };
+    let per_rank: Vec<(Result<T, CommError>, CommStats)> = if np == 1 {
+        // A single rank runs on the calling thread: no spawn, and the
+        // caller's thread-local state (trace lane and open spans,
+        // numerics test hooks) stays in effect for the whole run.
+        let inbox = receivers.pop().expect("one inbox per rank");
+        vec![run_rank(0, inbox)]
+    } else {
+        let run_rank = &run_rank;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = receivers
+                .into_iter()
+                .enumerate()
+                .map(|(rank, inbox)| {
+                    scope.spawn(move || {
+                        // One trace lane per rank (offset by the
+                        // config's lane base): SPMD runs export as one
+                        // timeline lane per rank in the Chrome trace,
+                        // and concurrent rank groups with disjoint
+                        // bases stay disentangled.
+                        lra_obs::trace::set_lane(config.lane_base + rank as u64);
+                        run_rank(rank, inbox)
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| {
-                h.join().unwrap_or_else(|_| {
-                    // Unreachable in practice: the closure is fully
-                    // wrapped in catch_unwind.
-                    (
-                        Err(CommError::Failed {
-                            rank,
-                            payload: "rank thread died outside containment".to_string(),
-                        }),
-                        CommStats::default(),
-                    )
+                .collect();
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(rank, h)| {
+                    h.join().unwrap_or_else(|_| {
+                        // Unreachable in practice: the closure is fully
+                        // wrapped in catch_unwind.
+                        (
+                            Err(CommError::Failed {
+                                rank,
+                                payload: "rank thread died outside containment".to_string(),
+                            }),
+                            CommStats::default(),
+                        )
+                    })
                 })
-            })
-            .collect()
-    });
+                .collect()
+        })
+    };
     let mut results = Vec::with_capacity(np);
     let mut stats = Vec::with_capacity(np);
     for (r, s) in per_rank {

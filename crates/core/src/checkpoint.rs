@@ -1,13 +1,13 @@
 //! Concrete [`Checkpoint`] snapshots for the factorization loops, plus
 //! the [`RecoveryHooks`] handle the drivers use to persist them.
 //!
-//! Both LU_CRTP/ILUT_CRTP drivers (sequential and SPMD) maintain the
-//! *same replicated* loop state — the current Schur complement, the
-//! row/column maps back to original coordinates, the accumulated `L`/`U`
-//! panels, the selected pivots, and the error-indicator trace — so one
-//! snapshot type, [`LuCrtpCheckpoint`], serves both: a snapshot taken by
-//! the SPMD driver can be resumed by the sequential driver (the
-//! degradation ladder's last rung) and vice versa.
+//! The LU_CRTP/ILUT_CRTP engine and its replicated oracle snapshot the
+//! *same* loop state — the current Schur complement, the row/column
+//! maps back to original coordinates, the accumulated `L`/`U` panels,
+//! the selected pivots, and the error-indicator trace — so one snapshot
+//! type, [`LuCrtpCheckpoint`], serves every rank count: a snapshot taken
+//! on `np` ranks can be resumed by the one-rank sequential entry points
+//! (the degradation ladder's last rung) and vice versa.
 //!
 //! Snapshots are taken at a *collective boundary*: the end of an
 //! iteration's loop body, after the Schur complement, indicator

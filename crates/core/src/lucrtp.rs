@@ -9,12 +9,15 @@
 //! *original* coordinates: `L` holds original row ids and `U` original
 //! column ids, so `A ≈ L U` directly and
 //! `||P_r A P_c - L' U'||_F = ||A - L U||_F` for the permuted factors.
+//!
+//! This module holds the options, results and Schur-update kernels; the
+//! iteration itself is the SPMD engine in `spmd.rs`, which the entry
+//! points here run on one in-process rank.
 
-use crate::timers::{KernelId, KernelTimers};
-use lra_dense::{lu, pairwise_sum, pairwise_sum_sq, DenseMatrix, Numerics};
-use lra_ordering::fill_reducing_order;
-use lra_par::{parallel_for, parallel_map_fold, Parallelism};
-use lra_qrtp::{tournament_columns_mode, tournament_rows_dense_mode, TournamentTree};
+use crate::timers::KernelTimers;
+use lra_dense::{DenseMatrix, Numerics};
+use lra_par::{parallel_map_fold, Parallelism};
+use lra_qrtp::TournamentTree;
 use lra_sparse::{CscMatrix, SparseAccumulator};
 
 /// When to apply the fill-reducing (COLAMD + etree postorder)
@@ -191,12 +194,12 @@ pub struct LuCrtpOpts {
     pub dense_switch: Option<f64>,
     /// Floating-point evaluation mode for the kernel layer:
     /// [`Numerics::Bitwise`] (the default) keeps the reference fp
-    /// chains, [`Numerics::Fast`] opts into FMA micro-kernels, the
-    /// tree-merged panel TSQR / tournament norms, and pairwise-reduced
-    /// error indicators. Fast runs are deterministic within the mode
-    /// but only normwise-comparable (`O(n * eps * ||A||)`) to Bitwise
-    /// runs; checkpoints record the mode and refuse mode-switching
-    /// resumes.
+    /// chains, [`Numerics::Fast`] opts into FMA Schur-update dots and
+    /// pairwise-reduced error indicators; the tournament and the panel
+    /// QR stay bitwise in both modes. Fast runs are deterministic
+    /// within the mode but only normwise-comparable
+    /// (`O(n * eps * ||A||)`) to Bitwise runs; checkpoints record the
+    /// mode and refuse mode-switching resumes.
     pub numerics: Numerics,
     /// Cooperative resource budget (deadline / iteration cap / memory
     /// ceiling / cancel tokens). Checked once per block iteration at
@@ -472,9 +475,9 @@ pub struct LuCrtpResult {
     pub timers: KernelTimers,
     /// Thresholding report (ILUT_CRTP only).
     pub threshold: Option<ThresholdReport>,
-    /// Peak per-rank Schur storage (sharded SPMD driver only; `None`
-    /// for the sequential and replicated drivers, which hold the full
-    /// Schur complement everywhere).
+    /// Peak per-rank Schur storage (the sharded engine behind every
+    /// public entry point; `None` only for the replicated oracle, which
+    /// holds the full Schur complement on every rank).
     pub mem: Option<MemStats>,
     /// Set when a [`LuCrtpOpts::budget`] limit or cancel token stopped
     /// the run at an iteration boundary. The factors are then a valid
@@ -578,20 +581,12 @@ impl LuCrtpResult {
     }
 }
 
-/// Internal ILUT state threaded through the shared driver.
-struct IlutState {
-    cfg: IlutOpts,
-    mu: f64,
-    phi: f64,
-    mass_sq: f64,
-    dropped: usize,
-    control_triggered: bool,
-}
-
 /// LU_CRTP (Algorithm 2): deterministic fixed-precision truncated LU
-/// with column and row tournament pivoting.
+/// with column and row tournament pivoting. Runs the SPMD engine
+/// ([`crate::lu_crtp_spmd`]) on one in-process rank, with `opts.par`
+/// workers inside it.
 pub fn lu_crtp(a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtpResult {
-    drive(a, opts, None, None).expect("no hooks, so no resume mode mismatch")
+    lu_crtp_checkpointed(a, opts, None).expect("no hooks, so no resume mode mismatch")
 }
 
 /// ILUT_CRTP (Algorithm 3): incomplete LU_CRTP with thresholding.
@@ -611,7 +606,7 @@ pub fn lu_crtp_checkpointed(
     opts: &LuCrtpOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    drive(a, opts, None, hooks)
+    crate::spmd::drive_one_rank(a, opts, None, hooks)
 }
 
 /// [`ilut_crtp`] with iteration checkpointing (see
@@ -623,578 +618,18 @@ pub fn ilut_crtp_checkpointed(
     opts: &IlutOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    let state = IlutState {
-        cfg: opts.clone(),
-        mu: 0.0,
-        phi: 0.0,
-        mass_sq: 0.0,
-        dropped: 0,
-        control_triggered: false,
-    };
-    drive(a, &opts.base, Some(state), hooks)
-}
-
-#[allow(clippy::too_many_lines)]
-fn drive(
-    a: &CscMatrix,
-    opts: &LuCrtpOpts,
-    mut ilut: Option<IlutState>,
-    hooks: Option<&crate::RecoveryHooks<'_>>,
-) -> Result<LuCrtpResult, InvalidInput> {
-    let m = a.rows();
-    let n = a.cols();
-    let par = opts.par;
-    lra_obs::metrics::global().set_gauge(
-        "kernel.numerics_mode",
-        if opts.numerics.is_fast() { 1.0 } else { 0.0 },
-    );
-    let mut timers = KernelTimers::new();
-    let clock = opts.budget.start();
-    let a_norm_f = a.fro_norm();
-    let stop = opts.tau * a_norm_f;
-    let rank_cap = opts.max_rank.unwrap_or(usize::MAX).min(m.min(n));
-    if a_norm_f == 0.0 {
-        // The zero matrix is its own rank-0 approximation.
-        return Ok(LuCrtpResult {
-            l: CscMatrix::zeros(m, 0),
-            u: CscMatrix::zeros(0, n),
-            pivot_rows: Vec::new(),
-            pivot_cols: Vec::new(),
-            rank: 0,
-            iterations: 0,
-            converged: true,
-            breakdown: None,
-            indicator: 0.0,
-            a_norm_f,
-            r11: 0.0,
-            trace: Vec::new(),
-            timers,
-            threshold: ilut.map(|s| ThresholdReport {
-                mu: 0.0,
-                phi: 0.0,
-                dropped: s.dropped,
-                dropped_mass_sq: s.mass_sq,
-                control_triggered: s.control_triggered,
-            }),
-            mem: None,
-            trip: None,
-        });
-    }
-
-    // Kernel scratch reused across all iterations (transpose targets,
-    // ILUT drop target, sparse accumulator for the hybrid Schur path).
-    let mut ws = SchurWorkspace::new();
-    let mut dense_cols_total = 0u64;
-    let mut s: CscMatrix;
-    let mut row_map: Vec<usize>;
-    let mut col_map: Vec<usize>;
-    let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut ut_cols: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut pivot_rows_glob: Vec<usize> = Vec::new();
-    let mut pivot_cols_glob: Vec<usize> = Vec::new();
-    let mut trace: Vec<IterTrace> = Vec::new();
-    let mut rank = 0usize;
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut breakdown = None;
-    let mut trip: Option<lra_recover::BudgetTrip> = None;
-    let mut indicator = a_norm_f;
-    let mut r11 = 0.0f64;
-
-    let resume = match hooks {
-        Some(h) => crate::checkpoint::load_resume(h, m, n, ilut.is_some(), opts.numerics)?,
-        None => None,
-    };
-    if let Some(ck) = resume {
-        // Continue from the snapshot as if never interrupted. The
-        // snapshot's column map already reflects the fill-reducing
-        // preprocessing; timers cover only the resumed portion.
-        s = ck.s;
-        row_map = ck.row_map;
-        col_map = ck.col_map;
-        l_cols = ck.l_cols;
-        ut_cols = ck.ut_cols;
-        pivot_rows_glob = ck.pivot_rows;
-        pivot_cols_glob = ck.pivots.selected;
-        trace = ck.trace;
-        rank = ck.rank;
-        iterations = ck.iterations;
-        indicator = ck.indicator;
-        r11 = ck.r11;
-        if let (Some(st), Some(ick)) = (ilut.as_mut(), ck.ilut) {
-            st.mu = ick.mu;
-            st.phi = ick.phi;
-            st.mass_sq = ick.mass_sq;
-            st.dropped = ick.dropped;
-            st.control_triggered = ick.control_triggered;
-        }
-    } else {
-        // --- Fill-reducing preprocessing (Section V). ---
-        let initial_cols: Vec<usize> = match opts.ordering {
-            OrderingMode::Natural => (0..n).collect(),
-            OrderingMode::FirstIteration | OrderingMode::EveryIteration => {
-                timers.time(KernelId::Permute, || fill_reducing_order(a))
-            }
-        };
-        s = a.select_columns(&initial_cols);
-        row_map = (0..m).collect();
-        col_map = initial_cols;
-    }
-
-    loop {
-        // Budget check at the iteration boundary: the loop-carried
-        // state is consistent here (the same invariant the snapshot
-        // point relies on), so a trip leaves valid partial factors and
-        // a resumable store. A cadence save already covered this
-        // iteration when `should_save` holds; otherwise force one so
-        // the resume handle points at the trip iteration.
-        if !clock.is_unlimited() {
-            if let Some(t) = clock.check(iterations as u64, csc_resident_bytes(&s)) {
-                if let Some(h) = hooks {
-                    if iterations > 0 && !h.should_save(iterations) {
-                        let ck = crate::checkpoint::make_snapshot(
-                            m,
-                            n,
-                            iterations,
-                            rank,
-                            indicator,
-                            r11,
-                            &s,
-                            &row_map,
-                            &col_map,
-                            &l_cols,
-                            &ut_cols,
-                            &pivot_rows_glob,
-                            &pivot_cols_glob,
-                            &trace,
-                            ilut.as_ref().map(|st| crate::checkpoint::IlutCheckpoint {
-                                mu: st.mu,
-                                phi: st.phi,
-                                mass_sq: st.mass_sq,
-                                dropped: st.dropped,
-                                control_triggered: st.control_triggered,
-                            }),
-                            opts.numerics,
-                        );
-                        crate::checkpoint::save_snapshot(h, &ck);
-                    }
-                }
-                lra_recover::record_event(&lra_recover::RecoveryEvent::BudgetTrip {
-                    trip: t.clone(),
-                    iteration: iterations,
-                });
-                trip = Some(t);
-                break;
-            }
-        }
-        if s.rows() == 0 || s.cols() == 0 || rank >= rank_cap {
-            if indicator >= stop {
-                breakdown = Some(Breakdown::RankExhausted);
-            }
-            break;
-        }
-        if opts.ordering == OrderingMode::EveryIteration && iterations > 0 {
-            let perm = timers.time(KernelId::Permute, || fill_reducing_order(&s));
-            s = s.select_columns(&perm);
-            col_map = perm.iter().map(|&p| col_map[p]).collect();
-        }
-        let k_want = opts.k.min(s.cols()).min(s.rows()).min(rank_cap - rank);
-
-        // Line 5: column tournament.
-        let sel = timers.time(KernelId::ColTournament, || {
-            tournament_columns_mode(&s, None, k_want, opts.tree, par, opts.numerics)
-        });
-        if iterations == 0 {
-            r11 = sel.r_diag.first().copied().unwrap_or(0.0).abs();
-        }
-        let k_eff = sel.selected.len();
-        if k_eff == 0 {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-
-        // Line 6: QR of the selected panel (TSQR: the row-block
-        // decomposition is what parallelizes, matching the paper's use
-        // of tall-skinny QR for the panel factorization).
-        let (qk, panel_r_diag) = timers.time(KernelId::PanelQr, || {
-            let panel = s.gather_columns_dense(&sel.selected);
-            let f = lra_dense::tsqr_mode(&panel, par, opts.numerics);
-            let rd: Vec<f64> = (0..k_eff.min(f.r.rows()))
-                .map(|i| f.r.get(i, i).abs())
-                .collect();
-            (f.q, rd)
-        });
-        if panel_r_diag.iter().any(|v| !v.is_finite()) {
-            lra_recover::record_guard_trip(format!(
-                "non-finite panel R diagonal at iteration {}",
-                iterations + 1
-            ));
-            breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-
-        // Line 7: row tournament on Q_k^T.
-        let rows = timers.time(KernelId::RowTournament, || {
-            tournament_rows_dense_mode(&qk, k_eff, opts.tree, par, opts.numerics)
-        });
-        if rows.len() < k_eff {
-            breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-
-        // Line 8: permute and split.
-        let (a11, a12, a21, a22, rest_rows, rest_cols) = timers.time(KernelId::Permute, || {
-            s.split_blocks(&rows, &sel.selected)
-        });
-
-        // Line 10: L21 formation.
-        let lu11 = lu(&a11);
-        if lu11.is_singular() {
-            breakdown = Some(Breakdown::SingularPivotBlock);
-            break;
-        }
-        let (x_rows, xt) = timers.time(KernelId::LSolve, || match opts.l_formation {
-            LFormation::Direct => l21_direct(&a21, &lu11, k_eff, &mut ws.tbuf, par),
-            LFormation::QBased => l21_qbased(&qk, &rows, &rest_rows, k_eff, par),
-        });
-
-        // Line 12: Schur complement.
-        let (mut s_next, schur_dense_cols) = timers.time(KernelId::Schur, || {
-            schur_update(
-                &a22,
-                &x_rows,
-                &xt,
-                &a12,
-                opts.dense_switch,
-                &mut ws,
-                par,
-                opts.numerics,
-            )
-        });
-        dense_cols_total += schur_dense_cols;
-
-        // Record factors (line 9/11), in original coordinates.
-        timers.time(KernelId::Concat, || {
-            // `tbuf` last held Ā21^T, which L-solve is done with.
-            a12.transpose_into(&mut ws.tbuf);
-            let a12t = &ws.tbuf;
-            for t in 0..k_eff {
-                // U row: pivot-column entries from Ā11, trailing from Ā12.
-                let mut ucol: Vec<(usize, f64)> = Vec::new();
-                for (p, &c_loc) in sel.selected.iter().enumerate() {
-                    let v = a11.get(t, p);
-                    if v != 0.0 {
-                        ucol.push((col_map[c_loc], v));
-                    }
-                }
-                let (ci, cv) = a12t.col(t);
-                for (&j_rest, &v) in ci.iter().zip(cv) {
-                    ucol.push((col_map[rest_cols[j_rest]], v));
-                }
-                ucol.sort_unstable_by_key(|&(c, _)| c);
-                ut_cols.push(ucol);
-
-                // L column: unit at the pivot row plus L21 entries.
-                let mut lcol: Vec<(usize, f64)> = Vec::new();
-                lcol.push((row_map[rows[t]], 1.0));
-                for (xi, &r_rest) in x_rows.iter().enumerate() {
-                    let v = xt.get(t, xi);
-                    if v != 0.0 {
-                        lcol.push((row_map[rest_rows[r_rest]], v));
-                    }
-                }
-                lcol.sort_unstable_by_key(|&(r, _)| r);
-                l_cols.push(lcol);
-            }
-            pivot_rows_glob.extend(rows.iter().map(|&r| row_map[r]));
-            pivot_cols_glob.extend(sel.selected.iter().map(|&c| col_map[c]));
-        });
-
-        rank += k_eff;
-        iterations += 1;
-
-        // Line 13: error indicator (eq. 9 / 26) — evaluated before any
-        // thresholding, exactly as Algorithm 3 orders lines 7 and 8.
-        indicator = timers.time(KernelId::Indicator, || {
-            schur_fro_norm(&s_next, opts.numerics)
-        });
-        if !indicator.is_finite() {
-            lra_recover::record_guard_trip(format!(
-                "non-finite error indicator at iteration {iterations}"
-            ));
-            breakdown = Some(Breakdown::NonFinite);
-            break;
-        }
-        let push_trace = |trace: &mut Vec<IterTrace>, s: &CscMatrix| {
-            trace.push(IterTrace {
-                iteration: iterations,
-                rank,
-                indicator,
-                schur_nnz: s.nnz(),
-                schur_density: s.density(),
-                schur_nnz_per_row: s.nnz_per_row(),
-                r_diag: panel_r_diag.clone(),
-            });
-        };
-        if indicator < stop {
-            converged = true;
-            push_trace(&mut trace, &s_next);
-            break;
-        }
-        if rank >= rank_cap {
-            breakdown = Some(Breakdown::RankExhausted);
-            push_trace(&mut trace, &s_next);
-            break;
-        }
-
-        // ILUT_CRTP lines 5, 8-10: determine mu/phi, drop, control.
-        if let Some(state) = ilut.as_mut() {
-            if iterations == 1 {
-                state.mu = opts.tau * r11
-                    / (state.cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt());
-                state.phi = state.cfg.phi_factor * opts.tau * r11;
-            }
-            if state.mu > 0.0 {
-                timers.time(KernelId::Drop, || match state.cfg.strategy {
-                    DropStrategy::Fixed => {
-                        let (mass, count) = s_next.drop_below_into(state.mu, &mut ws.dropbuf);
-                        if (state.mass_sq + mass).sqrt() >= state.phi {
-                            // Control (22): undo, disable thresholding.
-                            state.control_triggered = true;
-                            state.mu = 0.0;
-                        } else {
-                            state.mass_sq += mass;
-                            state.dropped += count;
-                            // Accept the drop; the displaced Schur
-                            // storage becomes next iteration's target.
-                            std::mem::swap(&mut s_next, &mut ws.dropbuf);
-                        }
-                    }
-                    DropStrategy::Aggressive => {
-                        // Sort small entries, drop smallest while the
-                        // budget allows; realize via a cutoff magnitude.
-                        let budget = state.phi * state.phi - state.mass_sq;
-                        if budget > 0.0 {
-                            let mags = s_next.small_entry_magnitudes(state.phi);
-                            let mut run = 0.0;
-                            let mut cutoff = 0.0;
-                            for &v in &mags {
-                                if run + v * v >= budget {
-                                    break;
-                                }
-                                run += v * v;
-                                cutoff = v;
-                            }
-                            if cutoff > 0.0 {
-                                let thr = cutoff * (1.0 + 1e-15) + f64::MIN_POSITIVE;
-                                let (mass, count) =
-                                    s_next.drop_below_into(thr, &mut ws.dropbuf);
-                                if (state.mass_sq + mass).sqrt() < state.phi {
-                                    state.mass_sq += mass;
-                                    state.dropped += count;
-                                    std::mem::swap(&mut s_next, &mut ws.dropbuf);
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        }
-
-        // Trace the Schur complement as the next iteration will see it
-        // (post-threshold for ILUT_CRTP) — the Fig. 1 fill-in metric.
-        push_trace(&mut trace, &s_next);
-
-        // Advance to the next Schur complement.
-        row_map = rest_rows.iter().map(|&r| row_map[r]).collect();
-        col_map = rest_cols.iter().map(|&c| col_map[c]).collect();
-        s = s_next;
-
-        // Iteration boundary: all loop-carried state is consistent
-        // here, so this is the snapshot point.
-        if let Some(h) = hooks {
-            if h.should_save(iterations) {
-                let ck = crate::checkpoint::make_snapshot(
-                    m,
-                    n,
-                    iterations,
-                    rank,
-                    indicator,
-                    r11,
-                    &s,
-                    &row_map,
-                    &col_map,
-                    &l_cols,
-                    &ut_cols,
-                    &pivot_rows_glob,
-                    &pivot_cols_glob,
-                    &trace,
-                    ilut.as_ref().map(|st| crate::checkpoint::IlutCheckpoint {
-                        mu: st.mu,
-                        phi: st.phi,
-                        mass_sq: st.mass_sq,
-                        dropped: st.dropped,
-                        control_triggered: st.control_triggered,
-                    }),
-                    opts.numerics,
-                );
-                crate::checkpoint::save_snapshot(h, &ck);
-            }
-        }
-        if iterations > 4 * (m.min(n) / opts.k.max(1) + 2) {
-            breakdown = Some(Breakdown::RankExhausted);
-            break; // safety net against non-termination
-        }
-    }
-
-    // Assemble factors.
-    let (l, u) = timers.time(KernelId::Concat, || {
-        let l = assemble_csc(m, &l_cols);
-        let ut = assemble_csc(n, &ut_cols);
-        (l, ut.transpose())
-    });
-
-    if opts.dense_switch.is_some() {
-        lra_obs::metrics::global().set_gauge("kernel.dense_switch", dense_cols_total as f64);
-    }
-
-    Ok(LuCrtpResult {
-        l,
-        u,
-        pivot_rows: pivot_rows_glob,
-        pivot_cols: pivot_cols_glob,
-        rank,
-        iterations,
-        converged,
-        breakdown,
-        indicator,
-        a_norm_f,
-        r11,
-        trace,
-        timers,
-        threshold: ilut.map(|s| ThresholdReport {
-            mu: s.mu,
-            phi: s.phi,
-            dropped: s.dropped,
-            dropped_mass_sq: s.mass_sq,
-            control_triggered: s.control_triggered,
-        }),
-        mem: None,
-        trip,
-    })
-}
-
-/// Resident bytes of a CSC matrix's arrays — the sequential analogue of
-/// `ColSlice::resident_bytes`, fed to the budget's memory ceiling.
-pub(crate) fn csc_resident_bytes(s: &CscMatrix) -> u64 {
-    (std::mem::size_of_val(s.colptr())
-        + std::mem::size_of_val(s.rowidx())
-        + std::mem::size_of_val(s.values())) as u64
-}
-
-/// Mode-dispatched Frobenius norm of a Schur complement. Bitwise mode
-/// keeps the historical flat left-to-right accumulation
-/// ([`CscMatrix::fro_norm`]); Fast mode tree-reduces within each
-/// column and across the per-column partials. The reduction shape
-/// depends only on the matrix dimensions, never on the worker count,
-/// so Fast stays deterministic for a fixed input.
-pub(crate) fn schur_fro_norm(s: &CscMatrix, numerics: Numerics) -> f64 {
-    if numerics.is_fast() {
-        let parts: Vec<f64> = (0..s.cols()).map(|j| pairwise_sum_sq(s.col(j).1)).collect();
-        pairwise_sum(&parts).sqrt()
-    } else {
-        s.fro_norm()
-    }
-}
-
-fn assemble_csc(rows: usize, cols: &[Vec<(usize, f64)>]) -> CscMatrix {
-    let mut builder = lra_sparse::SparseBuilder::new(rows, cols.len());
-    for col in cols {
-        builder.push_col(col);
-    }
-    builder.finish()
-}
-
-/// `L21 = Ā21 Ā11^{-1}` exploiting the sparse rows of `Ā21`.
-/// Returns the nonzero row positions (into the trailing rows) and the
-/// dense `k x nr` matrix `X^T` (column `r` = row `x_rows[r]` of `L21`).
-/// `tbuf` receives the transposed `Ā21` (caller-owned scratch reused
-/// across iterations).
-pub(crate) fn l21_direct(
-    a21: &CscMatrix,
-    lu11: &lra_dense::LuFactor,
-    k: usize,
-    tbuf: &mut CscMatrix,
-    par: Parallelism,
-) -> (Vec<usize>, DenseMatrix) {
-    a21.transpose_into(tbuf); // rows of Ā21 as columns
-    let a21t = &*tbuf;
-    let x_rows: Vec<usize> = (0..a21t.cols()).filter(|&c| a21t.col_nnz(c) > 0).collect();
-    let nr = x_rows.len();
-    let mut xt = DenseMatrix::zeros(k, nr);
-    {
-        let ptr = xt.as_mut_slice().as_mut_ptr() as usize;
-        let x_rows_ref = &x_rows;
-        parallel_for(par, nr, 16, |range| {
-            for c in range {
-                // SAFETY: disjoint columns of xt.
-                let col =
-                    unsafe { std::slice::from_raw_parts_mut((ptr as *mut f64).add(c * k), k) };
-                let (ri, vs) = a21t.col(x_rows_ref[c]);
-                for (&t, &v) in ri.iter().zip(vs) {
-                    col[t] = v;
-                }
-                // Solve x Ā11 = row  <=>  Ā11^T x^T = row^T.
-                lu11.solve_transpose_slice(col);
-            }
-        });
-    }
-    (x_rows, xt)
-}
-
-/// `L21 = Q̄21 Q̄11^{-1}` — the stability variant; dense in every
-/// trailing row.
-fn l21_qbased(
-    qk: &DenseMatrix,
-    pivot_rows: &[usize],
-    rest_rows: &[usize],
-    k: usize,
-    par: Parallelism,
-) -> (Vec<usize>, DenseMatrix) {
-    let q11 = qk.select_rows(pivot_rows);
-    let q21 = qk.select_rows(rest_rows);
-    let lu11 = lu(&q11);
-    let nr = rest_rows.len();
-    let x_rows: Vec<usize> = (0..nr).collect();
-    let mut xt = DenseMatrix::zeros(k, nr);
-    {
-        let ptr = xt.as_mut_slice().as_mut_ptr() as usize;
-        parallel_for(par, nr, 16, |range| {
-            for c in range {
-                // SAFETY: disjoint columns of xt.
-                let col =
-                    unsafe { std::slice::from_raw_parts_mut((ptr as *mut f64).add(c * k), k) };
-                for t in 0..k {
-                    col[t] = q21.get(c, t);
-                }
-                lu11.solve_transpose_slice(col);
-            }
-        });
-    }
-    (x_rows, xt)
+    crate::spmd::drive_one_rank(a, &opts.base, Some(opts), hooks)
 }
 
 /// Reusable scratch for the Schur-update kernels, owned by each driver
 /// and threaded through every iteration so the inner loops allocate
 /// nothing: the sparse accumulator behind the dense scatter path, the
-/// per-column correction vector, and the transpose / ILUT-drop target
-/// buffers recycled by [`CscMatrix::transpose_into`] and
-/// [`CscMatrix::drop_below_into`].
+/// per-column correction vector, and the transpose target buffer
+/// recycled by [`CscMatrix::transpose_into`].
 pub(crate) struct SchurWorkspace {
     spa: SparseAccumulator,
     corr: Vec<f64>,
     pub(crate) tbuf: CscMatrix,
-    pub(crate) dropbuf: CscMatrix,
 }
 
 impl SchurWorkspace {
@@ -1203,48 +638,15 @@ impl SchurWorkspace {
             spa: SparseAccumulator::new(),
             corr: Vec::new(),
             tbuf: CscMatrix::zeros(0, 0),
-            dropbuf: CscMatrix::zeros(0, 0),
         }
     }
-}
-
-/// `S = Ā22 - X Ā12` with `X` given as dense rows over `x_rows`
-/// (`xt` is `k x nr`, column `r` = the dense row `x_rows[r]` of `X`).
-/// Parallel over output columns; this is where LU_CRTP's fill-in
-/// materializes. Also returns the number of columns the fill-aware
-/// hybrid routed through the dense scatter path.
-#[allow(clippy::too_many_arguments)]
-fn schur_update(
-    a22: &CscMatrix,
-    x_rows: &[usize],
-    xt: &DenseMatrix,
-    a12: &CscMatrix,
-    dense_switch: Option<f64>,
-    ws: &mut SchurWorkspace,
-    par: Parallelism,
-    numerics: Numerics,
-) -> (CscMatrix, u64) {
-    let m = a22.rows();
-    let n = a22.cols();
-    debug_assert_eq!(a12.cols(), n);
-    debug_assert_eq!(a12.rows(), xt.rows());
-    let (lens, rowidx, values, dense_cols) =
-        schur_update_ranged(a22, x_rows, xt, a12, 0..n, dense_switch, ws, par, numerics);
-    let mut colptr = Vec::with_capacity(n + 1);
-    colptr.push(0);
-    let mut run = 0;
-    for l in lens {
-        run += l;
-        colptr.push(run);
-    }
-    (CscMatrix::from_parts(m, n, colptr, rowidx, values), dense_cols)
 }
 
 /// Chunk width (output columns) of the parallel Schur update.
 pub(crate) const SCHUR_GRAIN: usize = 32;
 
-/// The one parallel Schur-update helper shared by the sequential
-/// driver, the sharded SPMD driver, and the replicated oracle: runs
+/// The one parallel Schur-update helper shared by the sharded SPMD
+/// engine and the replicated oracle: runs
 /// [`schur_update_cols`] over `range` in fixed [`SCHUR_GRAIN`]-wide
 /// chunks and concatenates the per-chunk `(lens, rows, vals)` partials
 /// in ascending chunk order. Columns are computed independently, so

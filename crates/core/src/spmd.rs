@@ -47,6 +47,11 @@
 //! same arithmetic order, same reduction trees) and the reference the
 //! tests compare against.
 //!
+//! The sequential entry points ([`crate::lu_crtp`],
+//! [`crate::ilut_crtp`] and their checkpointed variants) are this same
+//! sharded engine run on one in-process rank, so one LU_CRTP loop
+//! serves every public LU/ILUT entry point.
+//!
 //! Numerics modes: `opts.numerics` reaches the Schur-update kernel
 //! (FMA correction dots in `Fast`) and the error-indicator partials
 //! (tree-reduced per-column sums in `Fast`) in *both* drivers, over
@@ -57,15 +62,17 @@
 //! them fixed is what lets a `Fast` run remain reproducible across
 //! resume and redistribution paths.
 
+use crate::checkpoint::IlutCheckpoint;
 use crate::lucrtp::{
     schur_update_ranged, validate_matrix, Breakdown, DropStrategy, IlutOpts, InvalidInput,
-    IterTrace, LuCrtpOpts, LuCrtpResult, MemStats, SchurWorkspace, ThresholdReport,
+    IterTrace, LFormation, LuCrtpOpts, LuCrtpResult, MemStats, OrderingMode, SchurWorkspace,
+    ThresholdReport,
 };
-use crate::timers::KernelTimers;
+use crate::timers::{KernelId, KernelTimers};
 use lra_comm::{CommError, Ctx, PendingExchange, RunConfig};
 use lra_dense::{lu, pairwise_sum_sq, qr, DenseMatrix, LuFactor, Numerics};
 use lra_ordering::fill_reducing_order;
-use lra_par::{owned_range, split_ranges, Parallelism};
+use lra_par::{owned_range, parallel_chunks_mut, split_ranges, Parallelism};
 use lra_qrtp::{
     tournament_columns_spmd, tournament_columns_spmd_sharded, ColumnSelection, TournamentTree,
 };
@@ -75,9 +82,10 @@ use std::ops::Range;
 /// SPMD LU_CRTP: every rank calls this with the same `a` and `opts`
 /// inside an [`lra_comm::run`] region; every rank returns the same
 /// result. `opts.par` drives the intra-rank thread parallelism of the
-/// Schur update and the ILUT threshold pass (the default `SEQ` keeps
-/// each rank single-threaded); results are bitwise-independent of the
-/// worker count because every parallel kernel folds fixed-chunk
+/// local tournament stage, the Schur update and the ILUT threshold
+/// pass (the default `SEQ` keeps each rank single-threaded); under the
+/// default binary tournament tree results are bitwise-independent of
+/// the worker count because every parallel kernel folds fixed-chunk
 /// partials in ascending chunk order.
 /// Each rank keeps only its owned block-column shard of the Schur
 /// complement resident (see the module docs); the result's `mem`
@@ -121,16 +129,8 @@ pub fn ilut_crtp_spmd_checkpointed(
     opts: &IlutOpts,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
-    let state = SpmdIlutState {
-        cfg: opts.clone(),
-        mu: 0.0,
-        phi: 0.0,
-        mass_sq: 0.0,
-        dropped: 0,
-        control_triggered: false,
-    };
     lra_obs::trace::span("ilut_crtp_spmd", || {
-        drive_spmd_sharded(ctx, a, &opts.base, Some(state), hooks, Reshard::Overlapped)
+        drive_spmd_sharded(ctx, a, &opts.base, Some(opts), hooks, Reshard::Overlapped)
     })
 }
 
@@ -151,16 +151,8 @@ pub fn lu_crtp_spmd_eager(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> LuCrtp
 /// [`lu_crtp_spmd_eager`]).
 #[doc(hidden)]
 pub fn ilut_crtp_spmd_eager(ctx: &Ctx, a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    let state = SpmdIlutState {
-        cfg: opts.clone(),
-        mu: 0.0,
-        phi: 0.0,
-        mass_sq: 0.0,
-        dropped: 0,
-        control_triggered: false,
-    };
     lra_obs::trace::span("ilut_crtp_spmd_eager", || {
-        drive_spmd_sharded(ctx, a, &opts.base, Some(state), None, Reshard::Eager)
+        drive_spmd_sharded(ctx, a, &opts.base, Some(opts), None, Reshard::Eager)
             .expect("no hooks, so no resume mode mismatch")
     })
 }
@@ -182,16 +174,8 @@ pub fn lu_crtp_spmd_replicated(ctx: &Ctx, a: &CscMatrix, opts: &LuCrtpOpts) -> L
 /// [`lu_crtp_spmd_replicated`]).
 #[doc(hidden)]
 pub fn ilut_crtp_spmd_replicated(ctx: &Ctx, a: &CscMatrix, opts: &IlutOpts) -> LuCrtpResult {
-    let state = SpmdIlutState {
-        cfg: opts.clone(),
-        mu: 0.0,
-        phi: 0.0,
-        mass_sq: 0.0,
-        dropped: 0,
-        control_triggered: false,
-    };
     lra_obs::trace::span("ilut_crtp_spmd_replicated", || {
-        drive_spmd_replicated(ctx, a, &opts.base, Some(state), None)
+        drive_spmd_replicated(ctx, a, &opts.base, Some(opts), None)
             .expect("no hooks, so no resume mode mismatch")
     })
 }
@@ -219,7 +203,28 @@ pub fn ilut_crtp_dist_checked(
     Ok(lra_comm::run_with(np, config, |ctx| ilut_crtp_spmd(ctx, a, opts)).results)
 }
 
-struct SpmdIlutState {
+/// Run the sharded engine on one in-process rank: the body of the
+/// sequential entry points ([`crate::lu_crtp_checkpointed`],
+/// [`crate::ilut_crtp_checkpointed`]).
+pub(crate) fn drive_one_rank(
+    a: &CscMatrix,
+    opts: &LuCrtpOpts,
+    ilut: Option<&IlutOpts>,
+    hooks: Option<&crate::RecoveryHooks<'_>>,
+) -> Result<LuCrtpResult, InvalidInput> {
+    lra_comm::run_with(1, &RunConfig::default(), |ctx| {
+        drive_spmd_sharded(ctx, a, opts, ilut, hooks, Reshard::Overlapped)
+    })
+    .unwrap_all()
+    .swap_remove(0)
+}
+
+/// ILUT_CRTP threshold state carried through the loop (Algorithm 3,
+/// lines 5 and 8-10), shared by the sharded engine and the replicated
+/// oracle and round-tripped through [`IlutCheckpoint`]. Every rank
+/// holds an identical copy: the decisions below only read allreduced
+/// quantities.
+struct IlutState {
     cfg: IlutOpts,
     mu: f64,
     phi: f64,
@@ -228,7 +233,18 @@ struct SpmdIlutState {
     control_triggered: bool,
 }
 
-impl SpmdIlutState {
+impl IlutState {
+    fn new(cfg: &IlutOpts) -> Self {
+        IlutState {
+            cfg: cfg.clone(),
+            mu: 0.0,
+            phi: 0.0,
+            mass_sq: 0.0,
+            dropped: 0,
+            control_triggered: false,
+        }
+    }
+
     fn report(&self) -> ThresholdReport {
         ThresholdReport {
             mu: self.mu,
@@ -236,6 +252,72 @@ impl SpmdIlutState {
             dropped: self.dropped,
             dropped_mass_sq: self.mass_sq,
             control_triggered: self.control_triggered,
+        }
+    }
+
+    fn checkpoint(&self) -> IlutCheckpoint {
+        IlutCheckpoint {
+            mu: self.mu,
+            phi: self.phi,
+            mass_sq: self.mass_sq,
+            dropped: self.dropped,
+            control_triggered: self.control_triggered,
+        }
+    }
+
+    fn restore(&mut self, ck: IlutCheckpoint) {
+        self.mu = ck.mu;
+        self.phi = ck.phi;
+        self.mass_sq = ck.mass_sq;
+        self.dropped = ck.dropped;
+        self.control_triggered = ck.control_triggered;
+    }
+
+    /// Line 5, after the first iteration: the drop threshold `mu`
+    /// (eq. 24) and the control bound `phi` (eq. 22), both from the
+    /// `|R^(1)(1,1)|` estimate `r11`.
+    fn set_threshold(&mut self, tau: f64, r11: f64, a_nnz: usize) {
+        self.mu = tau * r11 / (self.cfg.u_estimate as f64 * (a_nnz.max(1) as f64).sqrt());
+        self.phi = self.cfg.phi_factor * tau * r11;
+    }
+
+    /// Squared mass the aggressive strategy may still drop.
+    fn budget(&self) -> f64 {
+        self.phi * self.phi - self.mass_sq
+    }
+
+    /// Aggressive strategy: walk the ascending candidate magnitudes
+    /// `mags` and return the drop threshold that removes the smallest
+    /// entries while the budget allows, or `None` when none fit.
+    fn aggressive_threshold(&self, mags: &[f64]) -> Option<f64> {
+        let budget = self.budget();
+        let mut run = 0.0;
+        let mut cutoff = 0.0;
+        for &v in mags {
+            if run + v * v >= budget {
+                break;
+            }
+            run += v * v;
+            cutoff = v;
+        }
+        (cutoff > 0.0).then_some(cutoff * (1.0 + 1e-15) + f64::MIN_POSITIVE)
+    }
+
+    /// Control (22) on a proposed drop of `count` entries with squared
+    /// mass `mass`: accept it while the accumulated dropped mass stays
+    /// below `phi`. A rejected fixed-threshold drop disables
+    /// thresholding for the rest of the run (`mu = 0`).
+    fn accept_drop(&mut self, mass: f64, count: u64) -> bool {
+        if (self.mass_sq + mass).sqrt() < self.phi {
+            self.mass_sq += mass;
+            self.dropped += count as usize;
+            true
+        } else {
+            if self.cfg.strategy == DropStrategy::Fixed {
+                self.control_triggered = true;
+                self.mu = 0.0;
+            }
+            false
         }
     }
 }
@@ -288,8 +370,10 @@ struct SpmdPanelCtx<'a> {
     shard: ColSlice,
     /// Global column count of the (virtual) Schur complement.
     n_cur: usize,
-    /// Intra-rank worker count for the owned-range kernels (Schur
-    /// update, threshold pass) — `opts.par`.
+    /// Tree shape of the local tournament stage (`opts.tree`).
+    tree: TournamentTree,
+    /// Intra-rank worker count for the owned-range kernels (local
+    /// tournament stage, Schur update, threshold pass) — `opts.par`.
     par: Parallelism,
     /// Fill-aware hybrid threshold for the Schur kernel
     /// (`opts.dense_switch`).
@@ -315,23 +399,17 @@ struct SpmdPanelCtx<'a> {
 }
 
 impl<'a> SpmdPanelCtx<'a> {
-    fn new(
-        ctx: &'a Ctx,
-        shard: ColSlice,
-        n_cur: usize,
-        par: Parallelism,
-        dense_switch: Option<f64>,
-        numerics: Numerics,
-    ) -> Self {
+    fn new(ctx: &'a Ctx, shard: ColSlice, n_cur: usize, opts: &LuCrtpOpts) -> Self {
         let mut eng = SpmdPanelCtx {
             ctx,
             rank: ctx.rank(),
             size: ctx.size(),
             shard,
             n_cur,
-            par,
-            dense_switch,
-            numerics,
+            tree: opts.tree,
+            par: opts.par,
+            dense_switch: opts.dense_switch,
+            numerics: opts.numerics,
             dense_cols: 0,
             ws: SchurWorkspace::new(),
             part_pool: Vec::new(),
@@ -345,23 +423,10 @@ impl<'a> SpmdPanelCtx<'a> {
     /// Slice this rank's shard out of a full (e.g. checkpointed)
     /// Schur complement under the *current* rank count — resuming a
     /// snapshot written by a larger grid redistributes implicitly.
-    fn from_full(
-        ctx: &'a Ctx,
-        s: &CscMatrix,
-        par: Parallelism,
-        dense_switch: Option<f64>,
-        numerics: Numerics,
-    ) -> Self {
+    fn from_full(ctx: &'a Ctx, s: &CscMatrix, opts: &LuCrtpOpts) -> Self {
         let ranges = split_ranges(s.cols(), ctx.size());
         let my = owned_range(&ranges, ctx.rank());
-        Self::new(
-            ctx,
-            ColSlice::from_full(s, my),
-            s.cols(),
-            par,
-            dense_switch,
-            numerics,
-        )
+        Self::new(ctx, ColSlice::from_full(s, my), s.cols(), opts)
     }
 
     fn note_mem(&mut self) {
@@ -377,7 +442,40 @@ impl<'a> SpmdPanelCtx<'a> {
     /// columns travel with their global ids, and the selected panel is
     /// broadcast so every rank holds the `O(m b)` pivot columns.
     fn col_tournament(&self, k_want: usize) -> (ColumnSelection, CscMatrix) {
-        tournament_columns_spmd_sharded(self.ctx, &self.shard, k_want)
+        tournament_columns_spmd_sharded(self.ctx, &self.shard, k_want, self.tree, self.par)
+    }
+
+    /// Row tournament on `Q_k^T` (replicated input, distributed tree).
+    fn row_tournament(&self, qk: &DenseMatrix, k_eff: usize) -> Vec<usize> {
+        let qt = qk.transpose();
+        tournament_columns_spmd(self.ctx, &qt, None, k_eff, self.tree, self.par).selected
+    }
+
+    /// `OrderingMode::EveryIteration`: gather the Schur complement to
+    /// rank 0, compute its fill-reducing column order there, and
+    /// scatter the permuted columns back over the unchanged partition.
+    /// Returns the order (replicated on every rank) for the caller's
+    /// column map.
+    fn reorder(&mut self) -> Vec<usize> {
+        let mine = std::mem::replace(&mut self.shard, ColSlice::new(0, CscMatrix::zeros(0, 0)));
+        let ranges = split_ranges(self.n_cur, self.size);
+        let (perm, pieces) = match self.ctx.gatherv(0, mine.into_local()) {
+            Some(parts) => {
+                let s = gather_csc(&parts);
+                let perm = fill_reducing_order(&s);
+                let s = s.select_columns(&perm);
+                let pieces = (0..self.size)
+                    .map(|r| ColSlice::from_full(&s, owned_range(&ranges, r)).into_local())
+                    .collect();
+                (perm, Some(pieces))
+            }
+            None => (Vec::new(), None),
+        };
+        let perm = self.ctx.broadcast(0, perm);
+        let local: CscMatrix = self.ctx.scatterv(0, pieces);
+        self.shard = ColSlice::new(owned_range(&ranges, self.rank).start, local);
+        self.note_mem();
+        perm
     }
 
     /// Panel TSQR over rank-owned row blocks of the broadcast pivot
@@ -588,12 +686,14 @@ impl<'a> SpmdPanelCtx<'a> {
         let n_rest = sp.rest_cols.len();
         let new_ranges = split_ranges(n_rest, self.size);
         let parts = self.build_reshard_parts(sp, &new_ranges);
+        self.release_shard();
         let got = self.ctx.alltoallv(parts);
         let (p12, p22): (Vec<CscMatrix>, Vec<CscMatrix>) = got.into_iter().unzip();
         let a12_own = gather_csc(&p12);
         let a22_own = gather_csc(&p22);
-        self.part_pool.extend(p12);
-        self.part_pool.extend(p22);
+        for (x, y) in p12.into_iter().zip(p22) {
+            self.part_pool.extend([x, y]);
+        }
         let my_new = owned_range(&new_ranges, self.rank);
         debug_assert_eq!(a22_own.cols(), my_new.len());
         let (lens, rows_out, vals_out, dc) = schur_update_ranged(
@@ -621,6 +721,13 @@ impl<'a> SpmdPanelCtx<'a> {
         self.note_mem();
     }
 
+    /// Drop the old shard once [`Self::split_panel`] has copied out
+    /// everything the iteration still needs, so it is not resident
+    /// alongside the next Schur complement.
+    fn release_shard(&mut self) {
+        self.shard = ColSlice::empty(0, 0);
+    }
+
     /// Build the per-destination `(Ā12, Ā22)` column-run parts of the
     /// re-shard exchange. Part buffers retired by previous iterations
     /// are recycled from [`Self::part_pool`], so once part sizes reach
@@ -641,8 +748,10 @@ impl<'a> SpmdPanelCtx<'a> {
             } else {
                 0..0
             };
-            let d12 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
+            // Retired parts are pooled as (`Ā12`, `Ā22`) pairs, so popping
+            // the `Ā22` donor first hands each role a buffer of its size.
             let d22 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
+            let d12 = self.part_pool.pop().unwrap_or_else(|| CscMatrix::zeros(0, 0));
             parts.push((
                 slice_columns_recycled(&sp.a12_piece, local.clone(), d12),
                 slice_columns_recycled(&sp.a22_piece, local, d22),
@@ -662,6 +771,7 @@ impl<'a> SpmdPanelCtx<'a> {
         let n_rest = sp.rest_cols.len();
         let new_ranges = split_ranges(n_rest, self.size);
         let parts = self.build_reshard_parts(sp, &new_ranges);
+        self.release_shard();
         PendingReshard {
             pend: self.ctx.post_alltoallv(parts),
             new_ranges,
@@ -779,10 +889,18 @@ impl<'a> SpmdPanelCtx<'a> {
         self.ctx.allreduce(local, |x, y| x + y).sqrt()
     }
 
-    /// Global nnz of the distributed Schur complement (exact — integer
-    /// allreduce over shard counts).
-    fn schur_nnz_global(&self) -> usize {
-        self.ctx.allreduce(self.shard.nnz() as u64, |x, y| x + y) as usize
+    /// Trace entry for the Schur complement as the next iteration sees
+    /// it (post-drop under ILUT_CRTP), with its exact global nnz from
+    /// an integer allreduce over shard counts.
+    fn trace_entry(
+        &self,
+        iteration: usize,
+        rank: usize,
+        indicator: f64,
+        r_diag: &[f64],
+    ) -> IterTrace {
+        let nnz = self.ctx.allreduce(self.shard.nnz() as u64, |x, y| x + y) as usize;
+        schur_trace(iteration, rank, indicator, nnz, self.m_act(), self.n_cur, r_diag)
     }
 
     /// ILUT_CRTP lines 5, 8-10 over the distributed Schur complement:
@@ -792,26 +910,11 @@ impl<'a> SpmdPanelCtx<'a> {
     /// the same allreduce tree on every rank), so the control decision
     /// (eq. 22) is replicated bit for bit and matches the replicated
     /// oracle's [`CscMatrix::dropped_mass_in_cols_par`] partials.
-    fn ilut_drop(&mut self, state: &mut SpmdIlutState) {
-        match state.cfg.strategy {
-            DropStrategy::Fixed => {
-                let (dropped_shard, my_mass, my_count) =
-                    self.shard.drop_below_par(state.mu, self.par);
-                let (mass, count) = self
-                    .ctx
-                    .allreduce((my_mass, my_count as u64), |x, y| (x.0 + y.0, x.1 + y.1));
-                if (state.mass_sq + mass).sqrt() >= state.phi {
-                    state.control_triggered = true;
-                    state.mu = 0.0;
-                } else {
-                    state.mass_sq += mass;
-                    state.dropped += count as usize;
-                    self.shard = dropped_shard;
-                }
-            }
+    fn ilut_drop(&mut self, state: &mut IlutState) {
+        let thr = match state.cfg.strategy {
+            DropStrategy::Fixed => state.mu,
             DropStrategy::Aggressive => {
-                let budget = state.phi * state.phi - state.mass_sq;
-                if budget <= 0.0 {
+                if state.budget() <= 0.0 {
                     return;
                 }
                 // Concatenating per-shard candidate lists in rank order
@@ -821,29 +924,18 @@ impl<'a> SpmdPanelCtx<'a> {
                     .allgather(self.shard.small_entry_magnitudes(state.phi));
                 let mut mags: Vec<f64> = all.concat();
                 mags.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                let mut run = 0.0;
-                let mut cutoff = 0.0;
-                for &v in &mags {
-                    if run + v * v >= budget {
-                        break;
-                    }
-                    run += v * v;
-                    cutoff = v;
-                }
-                if cutoff > 0.0 {
-                    let thr = cutoff * (1.0 + 1e-15) + f64::MIN_POSITIVE;
-                    let (dropped_shard, my_mass, my_count) =
-                        self.shard.drop_below_par(thr, self.par);
-                    let (mass, count) = self
-                        .ctx
-                        .allreduce((my_mass, my_count as u64), |x, y| (x.0 + y.0, x.1 + y.1));
-                    if (state.mass_sq + mass).sqrt() < state.phi {
-                        state.mass_sq += mass;
-                        state.dropped += count as usize;
-                        self.shard = dropped_shard;
-                    }
+                match state.aggressive_threshold(&mags) {
+                    Some(thr) => thr,
+                    None => return,
                 }
             }
+        };
+        let (dropped_shard, my_mass, my_count) = self.shard.drop_below_par(thr, self.par);
+        let (mass, count) = self
+            .ctx
+            .allreduce((my_mass, my_count as u64), |x, y| (x.0 + y.0, x.1 + y.1));
+        if state.accept_drop(mass, count) {
+            self.shard = dropped_shard;
         }
     }
 
@@ -870,7 +962,7 @@ impl<'a> SpmdPanelCtx<'a> {
         pivot_rows: &[usize],
         pivot_cols: &[usize],
         trace: &[IterTrace],
-        ilut: Option<&SpmdIlutState>,
+        ilut: Option<&IlutState>,
     ) {
         let parts = self.ctx.gatherv(0, self.shard.local().clone());
         if let Some(parts) = parts {
@@ -890,13 +982,7 @@ impl<'a> SpmdPanelCtx<'a> {
                 pivot_rows,
                 pivot_cols,
                 trace,
-                ilut.map(|st| crate::checkpoint::IlutCheckpoint {
-                    mu: st.mu,
-                    phi: st.phi,
-                    mass_sq: st.mass_sq,
-                    dropped: st.dropped,
-                    control_triggered: st.control_triggered,
-                }),
+                ilut.map(IlutState::checkpoint),
                 self.numerics,
             );
             crate::checkpoint::save_snapshot(h, &ck);
@@ -918,7 +1004,6 @@ impl<'a> SpmdPanelCtx<'a> {
     }
 }
 
-#[allow(clippy::too_many_lines)]
 /// Re-shard scheduling of the sharded driver: `Overlapped` posts the
 /// per-panel exchange and hides the wire behind factor recording plus
 /// per-piece Schur updates (the default); `Eager` is the original
@@ -929,11 +1014,82 @@ enum Reshard {
     Eager,
 }
 
+/// One [`IterTrace`] entry for an `m x n` Schur complement holding
+/// `nnz` entries.
+fn schur_trace(
+    iteration: usize,
+    rank: usize,
+    indicator: f64,
+    nnz: usize,
+    m: usize,
+    n: usize,
+    r_diag: &[f64],
+) -> IterTrace {
+    IterTrace {
+        iteration,
+        rank,
+        indicator,
+        schur_nnz: nnz,
+        schur_density: if m == 0 || n == 0 {
+            0.0
+        } else {
+            nnz as f64 / (m as f64 * n as f64)
+        },
+        schur_nnz_per_row: if m == 0 { 0.0 } else { nnz as f64 / m as f64 },
+        r_diag: r_diag.to_vec(),
+    }
+}
+
+/// `L21 = Q̄21 Q̄11^{-1}` ([`LFormation::QBased`]) — the stability
+/// variant, dense in every trailing row. Built from the replicated
+/// `Q_k` alone, so every rank computes the same `X^T` with no
+/// communication.
+fn l21_qbased(
+    qk: &DenseMatrix,
+    pivot_rows: &[usize],
+    rest_rows: &[usize],
+    k: usize,
+    par: Parallelism,
+) -> (Vec<usize>, DenseMatrix) {
+    let q21 = qk.select_rows(rest_rows);
+    let lu11 = lu(&qk.select_rows(pivot_rows));
+    let nr = rest_rows.len();
+    let mut xt = DenseMatrix::zeros(k, nr);
+    parallel_chunks_mut(par, xt.as_mut_slice(), k, |c, col| {
+        for (t, x) in col.iter_mut().enumerate() {
+            *x = q21.get(c, t);
+        }
+        lu11.solve_transpose_slice(col);
+    });
+    ((0..nr).collect(), xt)
+}
+
+/// Factor columns in original coordinates, accumulated as sparse
+/// columns (`L` over rows, `U^T` over columns) and assembled once at
+/// the end of the loop.
+fn assemble_factors(
+    m: usize,
+    n: usize,
+    l_cols: &[Vec<(usize, f64)>],
+    ut_cols: &[Vec<(usize, f64)>],
+) -> (CscMatrix, CscMatrix) {
+    let mut l = SparseBuilder::new(m, l_cols.len());
+    for col in l_cols {
+        l.push_col(col);
+    }
+    let mut ut = SparseBuilder::new(n, ut_cols.len());
+    for col in ut_cols {
+        ut.push_col(col);
+    }
+    (l.finish(), ut.finish().transpose())
+}
+
+#[allow(clippy::too_many_lines)]
 fn drive_spmd_sharded(
     ctx: &Ctx,
     a: &CscMatrix,
     opts: &LuCrtpOpts,
-    mut ilut: Option<SpmdIlutState>,
+    ilut: Option<&IlutOpts>,
     hooks: Option<&crate::RecoveryHooks<'_>>,
     reshard: Reshard,
 ) -> Result<LuCrtpResult, InvalidInput> {
@@ -941,6 +1097,7 @@ fn drive_spmd_sharded(
     let n = a.cols();
     let size = ctx.size();
     let rank = ctx.rank();
+    let mut ilut = ilut.map(IlutState::new);
     if rank == 0 {
         lra_obs::metrics::global().set_gauge(
             "kernel.numerics_mode",
@@ -1013,18 +1170,14 @@ fn drive_spmd_sharded(
         indicator = ck.indicator;
         r11 = ck.r11;
         if let (Some(st), Some(ick)) = (ilut.as_mut(), ck.ilut) {
-            st.mu = ick.mu;
-            st.phi = ick.phi;
-            st.mass_sq = ick.mass_sq;
-            st.dropped = ick.dropped;
-            st.control_triggered = ick.control_triggered;
+            st.restore(ick);
         }
-        eng = SpmdPanelCtx::from_full(ctx, &ck.s, opts.par, opts.dense_switch, opts.numerics);
+        eng = SpmdPanelCtx::from_full(ctx, &ck.s, opts);
     } else {
         // Preprocessing on rank 0, broadcast (COLAMD is intrinsically
         // sequential — "we apply COLAMD as a preprocessing step").
-        let initial_cols: Vec<usize> = match opts.ordering {
-            crate::OrderingMode::Natural => (0..n).collect(),
+        let initial_cols: Vec<usize> = timers.time(KernelId::Permute, || match opts.ordering {
+            OrderingMode::Natural => (0..n).collect(),
             _ => {
                 let p = if rank == 0 {
                     fill_reducing_order(a)
@@ -1033,20 +1186,13 @@ fn drive_spmd_sharded(
                 };
                 ctx.broadcast(0, p)
             }
-        };
+        });
         // Only the owned block of the permuted input is extracted; the
         // full Schur complement never exists on any rank.
         let ranges = split_ranges(n, size);
         let my = owned_range(&ranges, rank);
         let local = a.select_columns(&initial_cols[my.clone()]);
-        eng = SpmdPanelCtx::new(
-            ctx,
-            ColSlice::new(my.start, local),
-            n,
-            opts.par,
-            opts.dense_switch,
-            opts.numerics,
-        );
+        eng = SpmdPanelCtx::new(ctx, ColSlice::new(my.start, local), n, opts);
         row_map = (0..m).collect();
         col_map = initial_cols;
     }
@@ -1105,12 +1251,14 @@ fn drive_spmd_sharded(
             }
             break;
         }
+        if opts.ordering == OrderingMode::EveryIteration && iterations > 0 {
+            let perm = timers.time(KernelId::Permute, || eng.reorder());
+            col_map = perm.iter().map(|&p| col_map[p]).collect();
+        }
         let k_want = opts.k.min(eng.n_cur).min(eng.m_act()).min(rank_cap - k_rank);
 
         // Column tournament: distributed matrix, distributed tree.
-        let (sel, panel) = timers.time(crate::KernelId::ColTournament, || {
-            eng.col_tournament(k_want)
-        });
+        let (sel, panel) = timers.time(KernelId::ColTournament, || eng.col_tournament(k_want));
         if iterations == 0 {
             r11 = sel.r_diag.first().copied().unwrap_or(0.0).abs();
         }
@@ -1120,12 +1268,7 @@ fn drive_spmd_sharded(
             break;
         }
 
-        let mut panel_r_diag: Vec<f64> = Vec::new();
-        let qk = timers.time(crate::KernelId::PanelQr, || {
-            let (d, q) = eng.panel_qr(&panel, k_eff);
-            panel_r_diag = d;
-            q
-        });
+        let (panel_r_diag, qk) = timers.time(KernelId::PanelQr, || eng.panel_qr(&panel, k_eff));
         if panel_r_diag.iter().any(|v| !v.is_finite()) {
             lra_recover::record_guard_trip(format!(
                 "non-finite panel R diagonal at iteration {}",
@@ -1135,18 +1278,14 @@ fn drive_spmd_sharded(
             break;
         }
 
-        // Row tournament on Q_k^T (replicated input, distributed tree).
-        let rows = timers.time(crate::KernelId::RowTournament, || {
-            let qt = qk.transpose();
-            tournament_columns_spmd(ctx, &qt, None, k_eff).selected
-        });
+        let rows = timers.time(KernelId::RowTournament, || eng.row_tournament(&qk, k_eff));
         if rows.len() < k_eff {
             breakdown = Some(Breakdown::RankExhausted);
             break;
         }
 
         // Split: replicated pivot blocks, owned rest pieces.
-        let sp = timers.time(crate::KernelId::Permute, || {
+        let sp = timers.time(KernelId::Permute, || {
             eng.split_panel(&panel, &rows, &sel.selected)
         });
 
@@ -1156,8 +1295,9 @@ fn drive_spmd_sharded(
             break;
         }
 
-        let (x_rows, xt) = timers.time(crate::KernelId::LSolve, || {
-            eng.solve_l21(&sp.a21, &lu11, k_eff)
+        let (x_rows, xt) = timers.time(KernelId::LSolve, || match opts.l_formation {
+            LFormation::Direct => eng.solve_l21(&sp.a21, &lu11, k_eff),
+            LFormation::QBased => l21_qbased(&qk, &rows, &sp.rest_rows, k_eff, opts.par),
         });
 
         // Schur complement on owned columns + re-sharding alltoallv.
@@ -1169,11 +1309,9 @@ fn drive_spmd_sharded(
         // disjoint from pending-exchange tags, so the reordering
         // cannot mismatch envelopes.
         let pending = match reshard {
-            Reshard::Overlapped => {
-                Some(timers.time(crate::KernelId::Schur, || eng.post_reshard(&sp)))
-            }
+            Reshard::Overlapped => Some(timers.time(KernelId::Schur, || eng.post_reshard(&sp))),
             Reshard::Eager => {
-                timers.time(crate::KernelId::Schur, || {
+                timers.time(KernelId::Schur, || {
                     eng.schur_redistribute(&sp, &x_rows, &xt);
                 });
                 None
@@ -1182,7 +1320,7 @@ fn drive_spmd_sharded(
 
         // Record factors: fragments gathered to rank 0; pivot lists
         // are replicated bookkeeping on every rank.
-        timers.time(crate::KernelId::Concat, || {
+        timers.time(KernelId::Concat, || {
             let frags = eng.factor_fragments(&sp, &col_map, k_eff);
             if let Some(frags) = frags {
                 for (t, frag) in frags.into_iter().enumerate() {
@@ -1216,7 +1354,7 @@ fn drive_spmd_sharded(
         });
 
         if let Some(pr) = pending {
-            timers.time(crate::KernelId::Schur, || {
+            timers.time(KernelId::Schur, || {
                 eng.complete_reshard(pr, &x_rows, &xt);
             });
         }
@@ -1224,9 +1362,10 @@ fn drive_spmd_sharded(
         k_rank += k_eff;
         iterations += 1;
 
-        // Error indicator: partial squared norm + allreduce over the
-        // genuinely distributed Schur complement.
-        indicator = timers.time(crate::KernelId::Indicator, || eng.indicator());
+        // Error indicator (eq. 9 / 26): partial squared norm + allreduce
+        // over the genuinely distributed Schur complement, evaluated
+        // before any thresholding, as Algorithm 3 orders lines 7 and 8.
+        indicator = timers.time(KernelId::Indicator, || eng.indicator());
         if !indicator.is_finite() {
             lra_recover::record_guard_trip(format!(
                 "non-finite error indicator at iteration {iterations}"
@@ -1234,44 +1373,28 @@ fn drive_spmd_sharded(
             breakdown = Some(Breakdown::NonFinite);
             break;
         }
-        let g_nnz = eng.schur_nnz_global();
-        let m_rest = eng.m_act();
-        let n_rest = eng.n_cur;
-        trace.push(IterTrace {
-            iteration: iterations,
-            rank: k_rank,
-            indicator,
-            schur_nnz: g_nnz,
-            schur_density: if m_rest == 0 || n_rest == 0 {
-                0.0
-            } else {
-                g_nnz as f64 / (m_rest as f64 * n_rest as f64)
-            },
-            schur_nnz_per_row: if m_rest == 0 {
-                0.0
-            } else {
-                g_nnz as f64 / m_rest as f64
-            },
-            r_diag: panel_r_diag.clone(),
-        });
-        if indicator < stop {
+        let done = if indicator < stop {
             converged = true;
-            break;
-        }
-        if k_rank >= rank_cap {
+            true
+        } else if k_rank >= rank_cap {
             breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
-
-        if let Some(state) = ilut.as_mut() {
+            true
+        } else {
+            false
+        };
+        if let Some(state) = ilut.as_mut().filter(|_| !done) {
             if iterations == 1 {
-                state.mu = opts.tau * r11
-                    / (state.cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt());
-                state.phi = state.cfg.phi_factor * opts.tau * r11;
+                state.set_threshold(opts.tau, r11, a.nnz());
             }
             if state.mu > 0.0 {
-                timers.time(crate::KernelId::Drop, || eng.ilut_drop(state));
+                timers.time(KernelId::Drop, || eng.ilut_drop(state));
             }
+        }
+        // Trace the Schur complement as the next iteration will see it
+        // (post-threshold for ILUT_CRTP) — the Fig. 1 fill-in metric.
+        trace.push(eng.trace_entry(iterations, k_rank, indicator, &panel_r_diag));
+        if done {
+            break;
         }
 
         row_map = sp.rest_rows.iter().map(|&r| row_map[r]).collect();
@@ -1319,28 +1442,14 @@ fn drive_spmd_sharded(
 
     // Materialize the factors on rank 0, then one final broadcast so
     // every rank returns the same result.
-    let (l, u) = {
+    let (l, u) = timers.time(KernelId::Concat, || {
         let pair = if rank == 0 {
-            let l = {
-                let mut b = SparseBuilder::new(m, l_cols.len());
-                for col in &l_cols {
-                    b.push_col(col);
-                }
-                b.finish()
-            };
-            let u = {
-                let mut b = SparseBuilder::new(n, ut_cols.len());
-                for col in &ut_cols {
-                    b.push_col(col);
-                }
-                b.finish().transpose()
-            };
-            (l, u)
+            assemble_factors(m, n, &l_cols, &ut_cols)
         } else {
             (CscMatrix::zeros(0, 0), CscMatrix::zeros(0, 0))
         };
         ctx.broadcast(0, pair)
-    };
+    });
     Ok(LuCrtpResult {
         l,
         u,
@@ -1366,13 +1475,14 @@ fn drive_spmd_replicated(
     ctx: &Ctx,
     a: &CscMatrix,
     opts: &LuCrtpOpts,
-    mut ilut: Option<SpmdIlutState>,
+    ilut: Option<&IlutOpts>,
     hooks: Option<&crate::RecoveryHooks<'_>>,
 ) -> Result<LuCrtpResult, InvalidInput> {
     let m = a.rows();
     let n = a.cols();
     let size = ctx.size();
     let rank = ctx.rank();
+    let mut ilut = ilut.map(IlutState::new);
     if rank == 0 {
         lra_obs::metrics::global().set_gauge(
             "kernel.numerics_mode",
@@ -1444,17 +1554,13 @@ fn drive_spmd_replicated(
         indicator = ck.indicator;
         r11 = ck.r11;
         if let (Some(st), Some(ick)) = (ilut.as_mut(), ck.ilut) {
-            st.mu = ick.mu;
-            st.phi = ick.phi;
-            st.mass_sq = ick.mass_sq;
-            st.dropped = ick.dropped;
-            st.control_triggered = ick.control_triggered;
+            st.restore(ick);
         }
     } else {
         // Preprocessing on rank 0, broadcast (COLAMD is intrinsically
         // sequential — "we apply COLAMD as a preprocessing step").
         let initial_cols: Vec<usize> = match opts.ordering {
-            crate::OrderingMode::Natural => (0..n).collect(),
+            OrderingMode::Natural => (0..n).collect(),
             _ => {
                 let p = if rank == 0 {
                     fill_reducing_order(a)
@@ -1476,8 +1582,10 @@ fn drive_spmd_replicated(
         // driver, which keeps this oracle bitwise-aligned with it under
         // any budget: same verdict, same trip iteration.
         if !opts.budget.is_unlimited() {
-            let local =
-                clock.check(iterations as u64, crate::lucrtp::csc_resident_bytes(&s));
+            let bytes = std::mem::size_of_val(s.colptr())
+                + std::mem::size_of_val(s.rowidx())
+                + std::mem::size_of_val(s.values());
+            let local = clock.check(iterations as u64, bytes as u64);
             let agreed = ctx
                 .allreduce_opt(local.map(|t| t.to_wire()), lra_recover::BudgetTrip::merge_wire)
                 .and_then(|(k, x, y)| lra_recover::BudgetTrip::from_wire(k, x, y));
@@ -1499,13 +1607,7 @@ fn drive_spmd_replicated(
                             &pivot_rows_glob,
                             &pivot_cols_glob,
                             &trace,
-                            ilut.as_ref().map(|st| crate::checkpoint::IlutCheckpoint {
-                                mu: st.mu,
-                                phi: st.phi,
-                                mass_sq: st.mass_sq,
-                                dropped: st.dropped,
-                                control_triggered: st.control_triggered,
-                            }),
+                            ilut.as_ref().map(IlutState::checkpoint),
                             opts.numerics,
                         );
                         crate::checkpoint::save_snapshot(h, &ck);
@@ -1527,11 +1629,23 @@ fn drive_spmd_replicated(
             }
             break;
         }
+        if opts.ordering == OrderingMode::EveryIteration && iterations > 0 {
+            let perm = timers.time(KernelId::Permute, || {
+                let p = if rank == 0 {
+                    fill_reducing_order(&s)
+                } else {
+                    Vec::new()
+                };
+                ctx.broadcast(0, p)
+            });
+            s = s.select_columns(&perm);
+            col_map = perm.iter().map(|&p| col_map[p]).collect();
+        }
         let k_want = opts.k.min(s.cols()).min(s.rows()).min(rank_cap - k_rank);
 
         // Column tournament: distributed (local stage + log2(P) rounds).
-        let sel = timers.time(crate::KernelId::ColTournament, || {
-            tournament_columns_spmd(ctx, &s, None, k_want)
+        let sel = timers.time(KernelId::ColTournament, || {
+            tournament_columns_spmd(ctx, &s, None, k_want, opts.tree, opts.par)
         });
         if iterations == 0 {
             r11 = sel.r_diag.first().copied().unwrap_or(0.0).abs();
@@ -1547,7 +1661,7 @@ fn drive_spmd_replicated(
         // allgather the Q blocks.
         let m_act = s.rows();
         let mut panel_r_diag: Vec<f64> = Vec::new();
-        let qk = timers.time(crate::KernelId::PanelQr, || {
+        let qk = timers.time(KernelId::PanelQr, || {
             let blocks = split_ranges(m_act, size.min((m_act / k_eff.max(1)).max(1)));
             let my_block = blocks.get(rank).cloned();
             let (my_r, my_f) = match &my_block {
@@ -1618,9 +1732,9 @@ fn drive_spmd_replicated(
         }
 
         // Row tournament on Q_k^T (replicated input, distributed tree).
-        let rows = timers.time(crate::KernelId::RowTournament, || {
+        let rows = timers.time(KernelId::RowTournament, || {
             let qt = qk.transpose();
-            tournament_columns_spmd(ctx, &qt, None, k_eff).selected
+            tournament_columns_spmd(ctx, &qt, None, k_eff, opts.tree, opts.par).selected
         });
         if rows.len() < k_eff {
             breakdown = Some(Breakdown::RankExhausted);
@@ -1630,7 +1744,7 @@ fn drive_spmd_replicated(
 
         // Split (replicated — the "local row permutations" of Fig. 5).
         let (a11, a12, a21, a22, rest_rows, rest_cols) =
-            timers.time(crate::KernelId::Permute, || {
+            timers.time(KernelId::Permute, || {
                 s.split_blocks(&rows, &sel.selected)
             });
 
@@ -1642,7 +1756,10 @@ fn drive_spmd_replicated(
 
         // L21: Ā21 rows scattered across ranks, Ā11 replicated
         // (broadcast in the paper), result allgathered.
-        let (x_rows, xt) = timers.time(crate::KernelId::LSolve, || {
+        let (x_rows, xt) = timers.time(KernelId::LSolve, || {
+            if opts.l_formation == LFormation::QBased {
+                return l21_qbased(&qk, &rows, &rest_rows, k_eff, opts.par);
+            }
             let a21t = a21.transpose();
             let x_rows: Vec<usize> =
                 (0..a21t.cols()).filter(|&c| a21t.col_nnz(c) > 0).collect();
@@ -1672,7 +1789,7 @@ fn drive_spmd_replicated(
         });
 
         // Schur complement: block-column distribution + allgather.
-        let mut s_next = timers.time(crate::KernelId::Schur, || {
+        let mut s_next = timers.time(KernelId::Schur, || {
             let n_rest = a22.cols();
             let ranges = split_ranges(n_rest, size);
             let my_range = owned_range(&ranges, rank);
@@ -1706,7 +1823,7 @@ fn drive_spmd_replicated(
         });
 
         // Record factors (replicated bookkeeping).
-        timers.time(crate::KernelId::Concat, || {
+        timers.time(KernelId::Concat, || {
             let a12t = a12.transpose();
             for t in 0..k_eff {
                 let mut ucol: Vec<(usize, f64)> = Vec::new();
@@ -1744,7 +1861,7 @@ fn drive_spmd_replicated(
         // Error indicator: partial squared norm + allreduce (each rank
         // owns a column slice in spirit; the replicated matrix makes
         // the local sum trivial, but the reduction is still exercised).
-        indicator = timers.time(crate::KernelId::Indicator, || {
+        indicator = timers.time(KernelId::Indicator, || {
             let ranges = split_ranges(s_next.cols(), size);
             let my_range = owned_range(&ranges, rank);
             let mut local = 0.0f64;
@@ -1767,87 +1884,58 @@ fn drive_spmd_replicated(
             breakdown = Some(Breakdown::NonFinite);
             break;
         }
-        trace.push(IterTrace {
-            iteration: iterations,
-            rank: k_rank,
-            indicator,
-            schur_nnz: s_next.nnz(),
-            schur_density: s_next.density(),
-            schur_nnz_per_row: s_next.nnz_per_row(),
-            r_diag: panel_r_diag.clone(),
-        });
-        if indicator < stop {
+        let done = if indicator < stop {
             converged = true;
-            break;
-        }
-        if k_rank >= rank_cap {
+            true
+        } else if k_rank >= rank_cap {
             breakdown = Some(Breakdown::RankExhausted);
-            break;
-        }
+            true
+        } else {
+            false
+        };
 
         // ILUT_CRTP lines 5, 8-10: per-rank dropped-mass partials over
         // the same column partition the sharded driver owns, combined
         // through the same allreduce tree — the oracle stays bitwise
         // aligned with the sharded thresholding decisions.
-        if let Some(state) = ilut.as_mut() {
+        if let Some(state) = ilut.as_mut().filter(|_| !done) {
             if iterations == 1 {
-                state.mu = opts.tau * r11
-                    / (state.cfg.u_estimate as f64 * (a.nnz().max(1) as f64).sqrt());
-                state.phi = state.cfg.phi_factor * opts.tau * r11;
+                state.set_threshold(opts.tau, r11, a.nnz());
             }
             if state.mu > 0.0 {
-                timers.time(crate::KernelId::Drop, || match state.cfg.strategy {
-                    DropStrategy::Fixed => {
+                timers.time(KernelId::Drop, || {
+                    let thr = match state.cfg.strategy {
+                        DropStrategy::Fixed => Some(state.mu),
+                        DropStrategy::Aggressive if state.budget() > 0.0 => {
+                            state.aggressive_threshold(&s_next.small_entry_magnitudes(state.phi))
+                        }
+                        DropStrategy::Aggressive => None,
+                    };
+                    if let Some(thr) = thr {
                         let ranges = split_ranges(s_next.cols(), size);
                         let my_range = owned_range(&ranges, rank);
                         let (my_mass, my_count) =
-                            s_next.dropped_mass_in_cols_par(state.mu, my_range, opts.par);
+                            s_next.dropped_mass_in_cols_par(thr, my_range, opts.par);
                         let (mass, count) = ctx
-                            .allreduce((my_mass, my_count as u64), |x, y| {
-                                (x.0 + y.0, x.1 + y.1)
-                            });
-                        if (state.mass_sq + mass).sqrt() >= state.phi {
-                            state.control_triggered = true;
-                            state.mu = 0.0;
-                        } else {
-                            state.mass_sq += mass;
-                            state.dropped += count as usize;
-                            s_next = s_next.drop_below(state.mu).0;
-                        }
-                    }
-                    DropStrategy::Aggressive => {
-                        let budget = state.phi * state.phi - state.mass_sq;
-                        if budget > 0.0 {
-                            let mags = s_next.small_entry_magnitudes(state.phi);
-                            let mut run = 0.0;
-                            let mut cutoff = 0.0;
-                            for &v in &mags {
-                                if run + v * v >= budget {
-                                    break;
-                                }
-                                run += v * v;
-                                cutoff = v;
-                            }
-                            if cutoff > 0.0 {
-                                let thr = cutoff * (1.0 + 1e-15) + f64::MIN_POSITIVE;
-                                let ranges = split_ranges(s_next.cols(), size);
-                                let my_range = owned_range(&ranges, rank);
-                                let (my_mass, my_count) =
-                                    s_next.dropped_mass_in_cols_par(thr, my_range, opts.par);
-                                let (mass, count) = ctx
-                                    .allreduce((my_mass, my_count as u64), |x, y| {
-                                        (x.0 + y.0, x.1 + y.1)
-                                    });
-                                if (state.mass_sq + mass).sqrt() < state.phi {
-                                    state.mass_sq += mass;
-                                    state.dropped += count as usize;
-                                    s_next = s_next.drop_below(thr).0;
-                                }
-                            }
+                            .allreduce((my_mass, my_count as u64), |x, y| (x.0 + y.0, x.1 + y.1));
+                        if state.accept_drop(mass, count) {
+                            s_next = s_next.drop_below(thr).0;
                         }
                     }
                 });
             }
+        }
+        trace.push(schur_trace(
+            iterations,
+            k_rank,
+            indicator,
+            s_next.nnz(),
+            s_next.rows(),
+            s_next.cols(),
+            &panel_r_diag,
+        ));
+        if done {
+            break;
         }
 
         row_map = rest_rows.iter().map(|&r| row_map[r]).collect();
@@ -1875,13 +1963,7 @@ fn drive_spmd_replicated(
                     &pivot_rows_glob,
                     &pivot_cols_glob,
                     &trace,
-                    ilut.as_ref().map(|st| crate::checkpoint::IlutCheckpoint {
-                        mu: st.mu,
-                        phi: st.phi,
-                        mass_sq: st.mass_sq,
-                        dropped: st.dropped,
-                        control_triggered: st.control_triggered,
-                    }),
+                    ilut.as_ref().map(IlutState::checkpoint),
                     opts.numerics,
                 );
                 crate::checkpoint::save_snapshot(h, &ck);
@@ -1893,20 +1975,7 @@ fn drive_spmd_replicated(
         }
     }
 
-    let l = {
-        let mut b = SparseBuilder::new(m, l_cols.len());
-        for col in &l_cols {
-            b.push_col(col);
-        }
-        b.finish()
-    };
-    let u = {
-        let mut b = SparseBuilder::new(n, ut_cols.len());
-        for col in &ut_cols {
-            b.push_col(col);
-        }
-        b.finish().transpose()
-    };
+    let (l, u) = assemble_factors(m, n, &l_cols, &ut_cols);
     Ok(LuCrtpResult {
         l,
         u,
@@ -1928,11 +1997,11 @@ fn drive_spmd_replicated(
 }
 
 /// Convenience wrapper: run [`lu_crtp_spmd`] on `np` ranks and return
-/// rank 0's result. The tournament tree option is implicit (the SPMD
-/// driver always reduces over the binomial rank tree). Panics if any
-/// rank fails; use [`lu_crtp_dist_checked`] to observe failures.
+/// rank 0's result. `opts.tree` shapes each rank's local tournament
+/// stage; the global stage always reduces over the binomial rank tree.
+/// Panics if any rank fails; use [`lu_crtp_dist_checked`] to observe
+/// failures.
 pub fn lu_crtp_dist(a: &CscMatrix, opts: &LuCrtpOpts, np: usize) -> LuCrtpResult {
-    let _ = TournamentTree::Binary;
     let mut results = lra_comm::run_infallible(np, |ctx| lu_crtp_spmd(ctx, a, opts));
     results.swap_remove(0)
 }

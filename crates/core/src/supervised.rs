@@ -66,8 +66,8 @@ impl From<RecoveryError> for SupervisedError {
 
 /// Supervised [`crate::lu_crtp_spmd`]: checkpoint every `ckpt_every`
 /// iterations and recover per `policy` (retry transient faults, shrink
-/// the grid on rank death, degrade to the sequential driver at the
-/// bottom of the ladder).
+/// the grid on rank death, degrade to the one-rank sequential entry
+/// point at the bottom of the ladder).
 pub fn lu_crtp_supervised(
     a: &CscMatrix,
     opts: &LuCrtpOpts,

@@ -4,8 +4,8 @@
 //! control works, and results are deterministic across worker counts.
 
 use lra_core::{
-    ilut_crtp, lu_crtp, rand_qb_ei, rand_ubv, DropStrategy, IlutOpts, LFormation, LuCrtpOpts,
-    OrderingMode, Parallelism, QbError, QbOpts, UbvOpts,
+    ilut_crtp, lu_crtp, lu_crtp_dist, rand_qb_ei, rand_ubv, DropStrategy, IlutOpts, LFormation,
+    LuCrtpOpts, OrderingMode, Parallelism, QbError, QbOpts, UbvOpts,
 };
 use lra_dense::matmul_tn;
 use lra_sparse::CscMatrix;
@@ -200,36 +200,39 @@ fn lucrtp_ordering_modes_all_converge() {
         OrderingMode::FirstIteration,
         OrderingMode::EveryIteration,
     ] {
-        let r = lu_crtp(&a, &LuCrtpOpts::new(8, 1e-2).with_ordering(ordering));
-        assert!(r.converged, "{ordering:?}: {:?}", r.breakdown);
-        let exact = r.exact_error(&a, Parallelism::SEQ);
-        assert!(exact < 1e-2 * r.a_norm_f, "{ordering:?}");
+        let opts = LuCrtpOpts::new(8, 1e-2).with_ordering(ordering);
+        // np = 2 gathers the Schur complement to rank 0 for each
+        // EveryIteration reordering and scatters it back.
+        for (np, r) in [(1, lu_crtp(&a, &opts)), (2, lu_crtp_dist(&a, &opts, 2))] {
+            assert!(r.converged, "{ordering:?} np={np}: {:?}", r.breakdown);
+            let exact = r.exact_error(&a, Parallelism::SEQ);
+            assert!(exact < 1e-2 * r.a_norm_f, "{ordering:?} np={np}");
+        }
     }
 }
 
 #[test]
 fn lucrtp_qbased_l_formation_works_and_is_denser() {
     let a = fill_heavy();
-    let direct = lu_crtp(&a, &{
+    let opts = |l_formation| {
         let mut o = LuCrtpOpts::new(8, 1e-2);
-        o.l_formation = LFormation::Direct;
+        o.l_formation = l_formation;
         o
-    });
-    let qbased = lu_crtp(&a, &{
-        let mut o = LuCrtpOpts::new(8, 1e-2);
-        o.l_formation = LFormation::QBased;
-        o
-    });
-    assert!(direct.converged && qbased.converged);
-    let e_q = qbased.exact_error(&a, Parallelism::SEQ);
-    assert!(e_q < 1e-2 * qbased.a_norm_f);
-    // The Q-based L introduces additional (small) nonzeros (§II-B3).
-    assert!(
-        qbased.l.nnz() >= direct.l.nnz(),
-        "qbased {} vs direct {}",
-        qbased.l.nnz(),
-        direct.l.nnz()
-    );
+    };
+    for np in [1usize, 2] {
+        let direct = lu_crtp_dist(&a, &opts(LFormation::Direct), np);
+        let qbased = lu_crtp_dist(&a, &opts(LFormation::QBased), np);
+        assert!(direct.converged && qbased.converged, "np={np}");
+        let e_q = qbased.exact_error(&a, Parallelism::SEQ);
+        assert!(e_q < 1e-2 * qbased.a_norm_f, "np={np}");
+        // The Q-based L introduces additional (small) nonzeros (§II-B3).
+        assert!(
+            qbased.l.nnz() >= direct.l.nnz(),
+            "np={np}: qbased {} vs direct {}",
+            qbased.l.nnz(),
+            direct.l.nnz()
+        );
+    }
 }
 
 #[test]

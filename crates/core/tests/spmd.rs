@@ -1,6 +1,9 @@
 //! Tests for the rank-distributed (SPMD) LU_CRTP driver.
 
-use lra_core::{lu_crtp, lu_crtp_dist, LuCrtpOpts, Parallelism};
+use lra_core::{
+    ilut_crtp, ilut_crtp_dist, lu_crtp, lu_crtp_dist, IlutOpts, LuCrtpOpts, LuCrtpResult,
+    Numerics, Parallelism,
+};
 
 fn test_matrix() -> lra_sparse::CscMatrix {
     lra_matgen::with_decay(&lra_matgen::circuit(250, 4, 4, 17), 1e-7, 19)
@@ -36,17 +39,64 @@ fn spmd_all_ranks_return_identical_results() {
     }
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn assert_same_factorization(seq: &LuCrtpResult, dist: &LuCrtpResult, what: &str) {
+    assert_eq!(seq.rank, dist.rank, "{what}: rank");
+    assert_eq!(seq.converged, dist.converged, "{what}: converged");
+    assert_eq!(seq.pivot_rows, dist.pivot_rows, "{what}: pivot_rows");
+    assert_eq!(seq.pivot_cols, dist.pivot_cols, "{what}: pivot_cols");
+    assert_eq!(seq.indicator.to_bits(), dist.indicator.to_bits(), "{what}: indicator");
+    for (x, y, f) in [(&seq.l, &dist.l, "L"), (&seq.u, &dist.u, "U")] {
+        assert_eq!(x.colptr(), y.colptr(), "{what}: {f} colptr");
+        assert_eq!(x.rowidx(), y.rowidx(), "{what}: {f} rowidx");
+        assert_eq!(bits(x.values()), bits(y.values()), "{what}: {f} values");
+    }
+    assert_eq!(seq.trace.len(), dist.trace.len(), "{what}: trace len");
+    for (s, d) in seq.trace.iter().zip(&dist.trace) {
+        assert_eq!(s.indicator.to_bits(), d.indicator.to_bits(), "{what}: trace indicator");
+        assert_eq!(s.schur_nnz, d.schur_nnz, "{what}: trace schur_nnz");
+        assert_eq!(bits(&s.r_diag), bits(&d.r_diag), "{what}: trace r_diag");
+    }
+    let report = |r: &LuCrtpResult| {
+        r.threshold
+            .as_ref()
+            .map(|t| (t.mu.to_bits(), t.dropped, t.dropped_mass_sq.to_bits()))
+    };
+    assert_eq!(report(seq), report(dist), "{what}: threshold report");
+}
+
+/// The sequential API is the SPMD engine on one rank: `lu_crtp` and
+/// `ilut_crtp` agree bit for bit with `*_dist(np = 1)` across presets,
+/// tolerances, numerics modes and worker counts.
 #[test]
-fn spmd_single_rank_matches_shared_memory_quality() {
-    let a = test_matrix();
-    let tau = 1e-2;
-    let shared = lu_crtp(&a, &LuCrtpOpts::new(8, tau));
-    let dist = lu_crtp_dist(&a, &LuCrtpOpts::new(8, tau), 3);
-    assert!(shared.converged && dist.converged);
-    // Merge orders differ, so pivots may differ; the achieved ranks
-    // must be close and both errors in tolerance.
-    let diff = shared.rank.abs_diff(dist.rank);
-    assert!(diff <= 2 * 8, "ranks far apart: {} vs {}", shared.rank, dist.rank);
+fn sequential_api_matches_single_rank_dist_bitwise() {
+    use lra_matgen::{circuit, economic, fem2d, fluid_block, with_decay};
+    let presets = [
+        ("fem2d", with_decay(&fem2d(9, 8, 3), 1e-6, 4)),
+        ("circuit", with_decay(&circuit(140, 3, 2, 5), 1e-6, 6)),
+        ("economic", with_decay(&economic(100, 5, 7), 1e-6, 8)),
+        ("fluid", with_decay(&fluid_block(10, 8, 9), 1e-6, 10)),
+    ];
+    for (name, a) in &presets {
+        for tau in [1e-2, 1e-4] {
+            for numerics in [Numerics::Bitwise, Numerics::Fast] {
+                for par in [Parallelism::SEQ, Parallelism::new(2)] {
+                    let what = format!("{name} tau={tau:e} {numerics} np={}", par.np());
+                    let lu_opts = LuCrtpOpts::new(8, tau).with_numerics(numerics).with_par(par);
+                    let lu = lu_crtp(a, &lu_opts);
+                    assert_same_factorization(&lu, &lu_crtp_dist(a, &lu_opts, 1), &what);
+                    let mut il_opts = IlutOpts::new(8, tau, lu.iterations);
+                    il_opts.base = lu_opts;
+                    let il = ilut_crtp(a, &il_opts);
+                    let il_dist = ilut_crtp_dist(a, &il_opts, 1);
+                    assert_same_factorization(&il, &il_dist, &format!("ilut {what}"));
+                }
+            }
+        }
+    }
 }
 
 #[test]

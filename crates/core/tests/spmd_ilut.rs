@@ -76,3 +76,26 @@ fn spmd_ilut_control_triggers_like_shared() {
     assert_eq!(rep.mu, 0.0);
     assert_eq!(rep.dropped, 0);
 }
+
+/// The trace records each iteration's Schur complement *after* the
+/// ILUT drop (the Fig. 1 fill-in definition): the nnz it reports must
+/// be the nnz of the post-drop Schur complement the checkpoint holds.
+#[test]
+fn spmd_ilut_trace_records_post_drop_fill() {
+    let a = fill_heavy();
+    let opts = IlutOpts::new(8, 1e-2, 4);
+    for np in [1usize, 2] {
+        let store = lra_core::CheckpointStore::in_memory();
+        let hooks = lra_core::RecoveryHooks::new(&store, 1);
+        let r = lra_comm::run_infallible(np, |ctx| {
+            lra_core::ilut_crtp_spmd_checkpointed(ctx, &a, &opts, Some(&hooks)).unwrap()
+        })
+        .swap_remove(0);
+        assert!(r.threshold.as_ref().unwrap().dropped > 0, "np={np}: expected drops");
+        let ck: lra_core::LuCrtpCheckpoint = store.load().unwrap().expect("a snapshot");
+        assert!(ck.ilut.as_ref().unwrap().dropped > 0, "np={np}: drops before the snapshot");
+        let at = &r.trace[ck.iterations - 1];
+        assert_eq!(at.iteration, ck.iterations);
+        assert_eq!(at.schur_nnz, ck.s.nnz(), "np={np}");
+    }
+}

@@ -10,7 +10,8 @@
 
 use lra_core::{
     ilut_crtp_spmd, ilut_crtp_spmd_eager, ilut_crtp_spmd_replicated, lu_crtp_spmd,
-    lu_crtp_spmd_eager, lu_crtp_spmd_replicated, IlutOpts, LuCrtpOpts, LuCrtpResult,
+    lu_crtp_spmd_eager, lu_crtp_spmd_replicated, IlutOpts, LFormation, LuCrtpOpts, LuCrtpResult,
+    OrderingMode, Parallelism, TournamentTree,
 };
 use lra_sparse::CscMatrix;
 
@@ -91,39 +92,64 @@ fn assert_result_bitwise(sharded: &LuCrtpResult, oracle: &LuCrtpResult, what: &s
     }
 }
 
+/// Rank counts crossed with per-rank worker counts: `opts.par` reaches
+/// the local tournament stage, the `L21` solve, the Schur update and
+/// the threshold pass, none of which may move a bit.
+fn np_par_grid() -> Vec<(usize, Parallelism)> {
+    let mut grid = Vec::new();
+    for np in [1usize, 2, 4] {
+        for par in [Parallelism::SEQ, Parallelism::new(2)] {
+            grid.push((np, par));
+        }
+    }
+    grid
+}
+
 #[test]
 fn sharded_lu_matches_replicated_bitwise() {
     let a = circuit_matrix();
-    let opts = LuCrtpOpts::new(8, 1e-3);
-    for np in [1usize, 2, 4] {
+    for (np, par) in np_par_grid() {
+        let opts = LuCrtpOpts::new(8, 1e-3).with_par(par);
         let mut sharded = lra_comm::run_infallible(np, |ctx| lu_crtp_spmd(ctx, &a, &opts));
         let mut oracle =
             lra_comm::run_infallible(np, |ctx| lu_crtp_spmd_replicated(ctx, &a, &opts));
         let s = sharded.swap_remove(0);
         let o = oracle.swap_remove(0);
-        assert!(s.converged, "np={np}: {:?}", s.breakdown);
-        assert_result_bitwise(&s, &o, &format!("lu np={np}"));
-        assert!(s.mem.is_some(), "np={np}: sharded driver must report mem");
-        assert!(o.mem.is_none(), "np={np}: replicated oracle reports no mem");
+        let what = format!("lu np={np} par={}", par.np());
+        assert!(s.converged, "{what}: {:?}", s.breakdown);
+        assert_result_bitwise(&s, &o, &what);
+        assert!(s.mem.is_some(), "{what}: sharded driver must report mem");
+        assert!(o.mem.is_none(), "{what}: replicated oracle reports no mem");
     }
 }
 
 #[test]
 fn sharded_ilut_matches_replicated_bitwise() {
     let a = fill_heavy();
-    let opts = IlutOpts::new(8, 1e-2, 4);
-    for np in [1usize, 2, 4] {
-        let mut sharded = lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd(ctx, &a, &opts));
-        let mut oracle =
-            lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd_replicated(ctx, &a, &opts));
-        let s = sharded.swap_remove(0);
-        let o = oracle.swap_remove(0);
-        assert!(s.converged, "np={np}: {:?}", s.breakdown);
-        assert!(
-            s.threshold.as_ref().unwrap().dropped > 0,
-            "np={np}: expected drops"
-        );
-        assert_result_bitwise(&s, &o, &format!("ilut np={np}"));
+    // The non-default options reach the oracle the same way they reach
+    // the engine: flat local tournaments, per-iteration reordering
+    // (gathered to rank 0, scattered back) and the Q-based `L21`.
+    let mut options = IlutOpts::new(8, 1e-2, 4);
+    options.base.tree = TournamentTree::Flat;
+    options.base.ordering = OrderingMode::EveryIteration;
+    options.base.l_formation = LFormation::QBased;
+    for (label, base) in [("default", IlutOpts::new(8, 1e-2, 4)), ("options", options)] {
+        for (np, par) in np_par_grid() {
+            let mut opts = base.clone();
+            opts.base.par = par;
+            let mut sharded = lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd(ctx, &a, &opts));
+            let mut oracle =
+                lra_comm::run_infallible(np, |ctx| ilut_crtp_spmd_replicated(ctx, &a, &opts));
+            let s = sharded.swap_remove(0);
+            let o = oracle.swap_remove(0);
+            let what = format!("ilut {label} np={np} par={}", par.np());
+            assert!(s.converged, "{what}: {:?}", s.breakdown);
+            assert!(
+                s.threshold.as_ref().unwrap().dropped > 0,
+                "{what}: expected drops"
+            );
+            assert_result_bitwise(&s, &o, &what);
+        }
     }
 }
 

@@ -24,7 +24,7 @@ mod svd;
 mod tsqr;
 
 pub use blas::{
-    matmul, matmul_mode, matmul_nt, matmul_nt_mode, matmul_sub_assign, matmul_sub_assign_mode,
+    matmul, matmul_mode, matmul_nt, matmul_sub_assign, matmul_sub_assign_mode,
     matmul_tn, matmul_tn_mode, matvec,
 };
 #[doc(hidden)]
@@ -40,4 +40,4 @@ pub use qrcp::{qrcp, QrcpFactor};
 pub use svd::{
     bidiagonal_svd_values, bidiagonalize, min_rank_for_tolerance, singular_values,
 };
-pub use tsqr::{tsqr, tsqr_mode, tsqr_r, tsqr_r_mode, tsqr_tree, Tsqr};
+pub use tsqr::{tsqr, tsqr_r, Tsqr};

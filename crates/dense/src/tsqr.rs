@@ -9,7 +9,6 @@
 //! `A = [A_1; ...; A_p] = blkdiag(Q_1..Q_p) * [R_1; ...; R_p]`
 //! `[R_1; ...; R_p] = Q_s R`  =>  `Q = blkdiag(Q_i) * Q_s`.
 
-use crate::numerics::Numerics;
 use crate::qr::{qr, QrFactor};
 use crate::DenseMatrix;
 use lra_par::{parallel_for, split_ranges, Parallelism};
@@ -70,61 +69,6 @@ pub fn tsqr_r(a: &DenseMatrix, par: Parallelism) -> DenseMatrix {
         stacked = stacked.vcat(loc);
     }
     qr(&stacked, par).r()
-}
-
-/// [`tsqr_r`] with an explicit [`Numerics`] mode: `Fast` merges the
-/// per-block `R` factors in a fixed pairwise binary tree (log2(nb)
-/// small QRs) instead of one tall stacked QR. The tree shape depends
-/// only on the block count, which [`blocking`] derives from the shape
-/// alone, so Fast results stay deterministic across worker counts.
-pub fn tsqr_r_mode(a: &DenseMatrix, par: Parallelism, numerics: Numerics) -> DenseMatrix {
-    if !numerics.is_fast() {
-        return tsqr_r(a, par);
-    }
-    let m = a.rows();
-    let n = a.cols();
-    if m <= n {
-        return qr(a, par).r();
-    }
-    let blocks = blocking(m, n);
-    let nb = blocks.len();
-    if nb == 1 {
-        return qr(a, par).r();
-    }
-    let locals = local_rs(a, &blocks, par);
-    let mut level = locals;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(x) = it.next() {
-            match it.next() {
-                Some(y) => next.push(qr(&x.vcat(&y), Parallelism::SEQ).r()),
-                None => next.push(x),
-            }
-        }
-        level = next;
-    }
-    level.pop().expect("non-empty merge tree")
-}
-
-/// Per-block local `R` factors (parallel over blocks).
-fn local_rs(a: &DenseMatrix, blocks: &[std::ops::Range<usize>], par: Parallelism) -> Vec<DenseMatrix> {
-    let n = a.cols();
-    let nb = blocks.len();
-    let mut locals: Vec<DenseMatrix> = vec![DenseMatrix::zeros(0, 0); nb];
-    {
-        let locals_ptr = locals.as_mut_ptr() as usize;
-        parallel_for(par, nb, 1, |range| {
-            for b in range {
-                let rg = &blocks[b];
-                let block = a.submatrix(rg.start, 0, rg.len(), n);
-                let r = qr(&block, Parallelism::SEQ).r();
-                // SAFETY: each slot b written by exactly one task.
-                unsafe { *(locals_ptr as *mut DenseMatrix).add(b) = r };
-            }
-        });
-    }
-    locals
 }
 
 /// Full TSQR with explicit thin `Q`.
@@ -207,138 +151,6 @@ pub fn tsqr(a: &DenseMatrix, par: Parallelism) -> Tsqr {
     Tsqr { q, r }
 }
 
-/// [`tsqr`] with an explicit [`Numerics`] mode: `Fast` routes through
-/// [`tsqr_tree`], the pairwise binary-tree merge.
-pub fn tsqr_mode(a: &DenseMatrix, par: Parallelism, numerics: Numerics) -> Tsqr {
-    if numerics.is_fast() {
-        tsqr_tree(a, par)
-    } else {
-        tsqr(a, par)
-    }
-}
-
-/// Tree-reduction TSQR: per-block local QRs, then a fixed pairwise
-/// binary merge of the `n x n` `R` factors (each merge is one `2n x n`
-/// QR), with the thin `Q` reconstructed by back-propagating `n x n`
-/// coefficient blocks down the same tree. Compared to [`tsqr`] this
-/// replaces the single `(nb*n) x n` stacked root QR by `log2(nb)`
-/// levels of small merges — the "tree-reduced panel" of the fast
-/// numerics mode. The merge shape depends only on the block count
-/// (shape-derived), so results are deterministic across worker counts;
-/// they differ from [`tsqr`] only in rounding, normwise `O(n * eps)`.
-pub fn tsqr_tree(a: &DenseMatrix, par: Parallelism) -> Tsqr {
-    let m = a.rows();
-    let n = a.cols();
-    if m <= n {
-        let f = qr(a, par);
-        return Tsqr {
-            q: f.q_thin(par),
-            r: f.r(),
-        };
-    }
-    let blocks = blocking(m, n);
-    let nb = blocks.len();
-    if nb == 1 {
-        let f = qr(a, par);
-        return Tsqr {
-            q: f.q_thin(par),
-            r: f.r(),
-        };
-    }
-    // Local QRs (parallel). Every block has >= n rows, so every local
-    // (and merged) R is exactly n x n — the tree is shape-uniform.
-    let mut local_f: Vec<Option<QrFactor>> = vec![None; nb];
-    {
-        let ptr = local_f.as_mut_ptr() as usize;
-        let blocks_ref = &blocks;
-        parallel_for(par, nb, 1, |range| {
-            for b in range {
-                let rg = &blocks_ref[b];
-                let block = a.submatrix(rg.start, 0, rg.len(), n);
-                let f = qr(&block, Parallelism::SEQ);
-                // SAFETY: slot b written once.
-                unsafe { *(ptr as *mut Option<QrFactor>).add(b) = Some(f) };
-            }
-        });
-    }
-    let local_f: Vec<QrFactor> = local_f.into_iter().map(|f| f.unwrap()).collect();
-    // Upward sweep: pairwise merges, odd node passes through (None).
-    let mut levels: Vec<Vec<Option<QrFactor>>> = Vec::new();
-    let mut rs: Vec<DenseMatrix> = local_f.iter().map(|f| f.r()).collect();
-    while rs.len() > 1 {
-        let mut facs = Vec::with_capacity(rs.len().div_ceil(2));
-        let mut next = Vec::with_capacity(rs.len().div_ceil(2));
-        let mut it = rs.into_iter();
-        while let Some(x) = it.next() {
-            match it.next() {
-                Some(y) => {
-                    let f = qr(&x.vcat(&y), Parallelism::SEQ);
-                    next.push(f.r());
-                    facs.push(Some(f));
-                }
-                None => {
-                    next.push(x);
-                    facs.push(None);
-                }
-            }
-        }
-        levels.push(facs);
-        rs = next;
-    }
-    let r = rs.pop().expect("non-empty merge tree");
-    // Downward sweep: start from the identity coefficient at the root
-    // and push each node's n x n coefficient block through its merge Q
-    // (`Q_merge * [C; 0]`), splitting it between the two children.
-    let mut coeffs: Vec<DenseMatrix> = vec![DenseMatrix::identity(n)];
-    for facs in levels.iter().rev() {
-        let mut child = Vec::with_capacity(coeffs.len() * 2);
-        for (node, fopt) in facs.iter().enumerate() {
-            let c = &coeffs[node];
-            match fopt {
-                Some(f) => {
-                    let mut piece = DenseMatrix::zeros(2 * n, n);
-                    piece.set_submatrix(0, 0, c);
-                    f.apply_q(&mut piece, Parallelism::SEQ);
-                    child.push(piece.submatrix(0, 0, n, n));
-                    child.push(piece.submatrix(n, 0, n, n));
-                }
-                None => child.push(c.clone()),
-            }
-        }
-        coeffs = child;
-    }
-    debug_assert_eq!(coeffs.len(), nb);
-    // Leaf stage (parallel): block b of Q = Q_b * [C_b; 0].
-    let mut q = DenseMatrix::zeros(m, n);
-    {
-        let q_ptr = q.as_mut_slice().as_mut_ptr() as usize;
-        let blocks_ref = &blocks;
-        let local_ref = &local_f;
-        let coeffs_ref = &coeffs;
-        parallel_for(par, nb, 1, |range| {
-            for b in range {
-                let rg = &blocks_ref[b];
-                let rows = rg.len();
-                let mut piece = DenseMatrix::zeros(rows, n);
-                piece.set_submatrix(0, 0, &coeffs_ref[b]);
-                local_ref[b].apply_q(&mut piece, Parallelism::SEQ);
-                for j in 0..n {
-                    let src = piece.col(j);
-                    // SAFETY: row ranges of distinct blocks are disjoint.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            (q_ptr as *mut f64).add(j * m + rg.start),
-                            rows,
-                        )
-                    };
-                    dst.copy_from_slice(src);
-                }
-            }
-        });
-    }
-    Tsqr { q, r }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,41 +210,6 @@ mod tests {
         let gram_a = crate::blas::matmul_tn(&a, &a, Parallelism::SEQ);
         let gram_r = crate::blas::matmul_tn(&r, &r, Parallelism::SEQ);
         assert!(gram_a.max_abs_diff(&gram_r) < 1e-11);
-    }
-
-    #[test]
-    fn tsqr_tree_reconstructs_and_is_np_stable() {
-        let a = rand_mat(1100, 8, 6);
-        let t1 = tsqr_tree(&a, Parallelism::new(1));
-        for np in [2, 4, 7] {
-            let t = tsqr_tree(&a, Parallelism::new(np));
-            let prod = matmul(&t.q, &t.r, Parallelism::SEQ);
-            assert!(prod.max_abs_diff(&a) < 1e-12, "np={np}");
-            assert!(t.q.orthogonality_error() < 1e-13, "np={np}");
-            // Bitwise-within-mode: the tree shape is worker-independent.
-            for (x, y) in t.r.as_slice().iter().zip(t1.r.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "np={np}");
-            }
-            for (x, y) in t.q.as_slice().iter().zip(t1.q.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "np={np}");
-            }
-        }
-    }
-
-    #[test]
-    fn tsqr_r_mode_fast_preserves_gram() {
-        let a = rand_mat(1300, 6, 7);
-        let r_fast = tsqr_r_mode(&a, Parallelism::new(3), Numerics::Fast);
-        assert_eq!(r_fast.rows(), 6);
-        let gram_a = crate::blas::matmul_tn(&a, &a, Parallelism::SEQ);
-        let gram_r = crate::blas::matmul_tn(&r_fast, &r_fast, Parallelism::SEQ);
-        assert!(gram_a.max_abs_diff(&gram_r) < 1e-10 * (1.0 + gram_a.max_abs()));
-        // Bitwise mode through the _mode entry is the plain tsqr_r.
-        let r_bit = tsqr_r_mode(&a, Parallelism::new(3), Numerics::Bitwise);
-        let r_ref = tsqr_r(&a, Parallelism::new(3));
-        for (x, y) in r_bit.as_slice().iter().zip(r_ref.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

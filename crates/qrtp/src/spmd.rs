@@ -22,12 +22,18 @@ const TAG_WINNERS: u64 = 0x7101;
 const TAG_SHARD_WINNERS: u64 = 0x7102;
 
 /// SPMD column tournament: every rank calls this with the same
-/// arguments; every rank returns the same [`ColumnSelection`].
+/// arguments; every rank returns the same [`ColumnSelection`]. `tree`
+/// and `par` shape each rank's local stage (a [`tournament_columns`]
+/// call over its own candidates); the global stage is always the
+/// binomial rank tree. Under [`TournamentTree::Binary`] the selection
+/// is bitwise independent of `par`.
 pub fn tournament_columns_spmd<S: ColumnSource + ?Sized>(
     ctx: &Ctx,
     src: &S,
     candidates: Option<&[usize]>,
     k: usize,
+    tree: TournamentTree,
+    par: Parallelism,
 ) -> ColumnSelection {
     let all: Vec<usize>;
     let cand: &[usize] = match candidates {
@@ -40,18 +46,19 @@ pub fn tournament_columns_spmd<S: ColumnSource + ?Sized>(
     let size = ctx.size();
     let rank = ctx.rank();
     let ranges = split_ranges(cand.len(), size);
-    // Local reduction: communication-free.
-    let mut winners: Vec<usize> = lra_obs::trace::span("qrtp.local_stage", || {
+    // Local reduction: communication-free. A full local tournament
+    // also yields its root pass's `r_diag`.
+    let (mut winners, local_r_diag) = lra_obs::trace::span("qrtp.local_stage", || {
         if rank < ranges.len() && !ranges[rank].is_empty() {
             let own = &cand[ranges[rank].clone()];
             if own.len() <= k {
-                own.to_vec()
+                (own.to_vec(), None)
             } else {
-                tournament_columns(src, Some(own), k, TournamentTree::Binary, Parallelism::SEQ)
-                    .selected
+                let sel = tournament_columns(src, Some(own), k, tree, par);
+                (sel.selected, Some(sel.r_diag))
             }
         } else {
-            Vec::new()
+            (Vec::new(), None)
         }
     });
     // Global binomial reduction: log2(P) rounds of pairwise merges.
@@ -84,13 +91,13 @@ pub fn tournament_columns_spmd<S: ColumnSource + ?Sized>(
         mask <<= 1;
     }
     // Root ranks the final winners (also producing r_diag) and
-    // broadcasts the result.
+    // broadcasts the result. A lone rank's local stage was the whole
+    // tournament, root pass included, so its ranking is already final.
     let (selected, r_diag) = lra_obs::trace::span("qrtp.final_select", || {
-        let result = if rank == 0 {
-            let (selected, r_diag) = node_select(src, &winners, k);
-            (selected, r_diag)
-        } else {
-            (Vec::new(), Vec::new())
+        let result = match local_r_diag.filter(|_| size == 1) {
+            Some(r_diag) => (winners, r_diag),
+            None if rank == 0 => node_select(src, &winners, k),
+            None => (Vec::new(), Vec::new()),
         };
         ctx.broadcast(0, result)
     });
@@ -136,35 +143,31 @@ fn node_select_positions(cols: &CscMatrix, k: usize) -> (Vec<usize>, Vec<f64>) {
 /// in pivot order) the caller feeds to TSQR and the block split.
 ///
 /// Produces bitwise-identical selections to running
-/// [`tournament_columns_spmd`] on the replicated matrix: the ownership
-/// partition here *is* the `split_ranges` partition the replicated
-/// local stage uses, and every node works on the same dense panels.
+/// [`tournament_columns_spmd`] with the same `tree` and `par` on the
+/// replicated matrix: the ownership partition here *is* the
+/// `split_ranges` partition the replicated local stage uses, and every
+/// node works on the same dense panels.
 pub fn tournament_columns_spmd_sharded(
     ctx: &Ctx,
     shard: &ColSlice,
     k: usize,
+    tree: TournamentTree,
+    par: Parallelism,
 ) -> (ColumnSelection, CscMatrix) {
     let size = ctx.size();
     let rank = ctx.rank();
     let rows = shard.rows();
     // Local reduction: communication-free, over the owned shard only.
-    let mut winners: Vec<usize> = lra_obs::trace::span("qrtp.local_stage", || {
+    // A full local tournament also yields its root pass's `r_diag`.
+    let (mut winners, local_r_diag) = lra_obs::trace::span("qrtp.local_stage", || {
         if shard.ncols_local() == 0 {
-            Vec::new()
+            (Vec::new(), None)
         } else if shard.ncols_local() <= k {
-            shard.col_range().collect()
+            (shard.col_range().collect(), None)
         } else {
-            tournament_columns(
-                shard.local(),
-                None,
-                k,
-                TournamentTree::Binary,
-                Parallelism::SEQ,
-            )
-            .selected
-            .iter()
-            .map(|&c| c + shard.offset())
-            .collect()
+            let sel = tournament_columns(shard.local(), None, k, tree, par);
+            let ids = sel.selected.iter().map(|&c| c + shard.offset()).collect();
+            (ids, Some(sel.r_diag))
         }
     });
     let mut cols: CscMatrix = if winners.is_empty() {
@@ -208,15 +211,17 @@ pub fn tournament_columns_spmd_sharded(
         mask <<= 1;
     }
     // Root ranks the final winners and broadcasts ids, r_diag, and the
-    // selected panel together.
+    // selected panel together. A lone rank's local ranking is final, as
+    // in [`tournament_columns_spmd`].
     let (selected, r_diag, panel) = lra_obs::trace::span("qrtp.final_select", || {
-        let result = if rank == 0 {
-            let (pos, r_diag) = node_select_positions(&cols, k);
-            let selected: Vec<usize> = pos.iter().map(|&p| winners[p]).collect();
-            let panel = cols.select_columns(&pos);
-            (selected, r_diag, panel)
-        } else {
-            (Vec::new(), Vec::new(), CscMatrix::zeros(rows, 0))
+        let result = match local_r_diag.filter(|_| size == 1) {
+            Some(r_diag) => (winners, r_diag, cols),
+            None if rank == 0 => {
+                let (pos, r_diag) = node_select_positions(&cols, k);
+                let selected: Vec<usize> = pos.iter().map(|&p| winners[p]).collect();
+                (selected, r_diag, cols.select_columns(&pos))
+            }
+            None => (Vec::new(), Vec::new(), CscMatrix::zeros(rows, 0)),
         };
         ctx.broadcast(0, result)
     });
@@ -228,6 +233,9 @@ mod tests {
     use super::*;
     use lra_dense::{matmul, singular_values, DenseMatrix};
     use lra_sparse::{CooMatrix, CscMatrix};
+
+    const BIN: TournamentTree = TournamentTree::Binary;
+    const SEQ: Parallelism = Parallelism::SEQ;
 
     fn rand_sparse(rows: usize, cols: usize, per_col: usize, seed: u64) -> CscMatrix {
         let mut state = seed.wrapping_mul(0x517CC1B727220A95) | 1;
@@ -259,7 +267,7 @@ mod tests {
         let a = rand_sparse(100, 48, 4, 1);
         for np in [1usize, 2, 4, 7] {
             let results = lra_comm::run_infallible(np, |ctx| {
-                tournament_columns_spmd(ctx, &a, None, 8).selected
+                tournament_columns_spmd(ctx, &a, None, 8, BIN, SEQ).selected
             });
             for r in &results[1..] {
                 assert_eq!(r, &results[0], "np={np}: ranks disagree");
@@ -280,7 +288,7 @@ mod tests {
         let full = base.hcat(&deps);
         let a = CscMatrix::from_dense(&full);
         let results = lra_comm::run_infallible(4, |ctx| {
-            tournament_columns_spmd(ctx, &a, None, 5).selected
+            tournament_columns_spmd(ctx, &a, None, 5, BIN, SEQ).selected
         });
         let picked = full.select_columns(&results[0]);
         let sv = singular_values(&picked);
@@ -291,7 +299,7 @@ mod tests {
     fn more_ranks_than_candidates() {
         let a = rand_sparse(30, 5, 3, 4);
         let results = lra_comm::run_infallible(8, |ctx| {
-            tournament_columns_spmd(ctx, &a, None, 3).selected
+            tournament_columns_spmd(ctx, &a, None, 3, BIN, SEQ).selected
         });
         assert_eq!(results[0].len(), 3);
         for r in &results {
@@ -302,29 +310,38 @@ mod tests {
     #[test]
     fn sharded_matches_replicated_bitwise() {
         let a = rand_sparse(100, 48, 4, 1);
+        let shapes = [
+            (BIN, SEQ),
+            (BIN, Parallelism::new(2)),
+            (TournamentTree::Flat, Parallelism::new(2)),
+        ];
         for np in [1usize, 2, 4, 7] {
             for k in [3usize, 8] {
-                let replicated = lra_comm::run_infallible(np, |ctx| {
-                    let sel = tournament_columns_spmd(ctx, &a, None, k);
-                    (sel.selected, sel.r_diag)
-                });
-                let sharded = lra_comm::run_infallible(np, |ctx| {
-                    let ranges = split_ranges(a.cols(), ctx.size());
-                    let range = lra_par::owned_range(&ranges, ctx.rank());
-                    let shard = ColSlice::from_full(&a, range);
-                    let (sel, panel) = tournament_columns_spmd_sharded(ctx, &shard, k);
-                    (sel.selected, sel.r_diag, panel)
-                });
-                for (rank, (sel, rd, panel)) in sharded.iter().enumerate() {
-                    let (rsel, rrd) = &replicated[rank];
-                    assert_eq!(sel, rsel, "np={np} k={k} rank={rank}");
-                    assert_eq!(rd.len(), rrd.len());
-                    for (x, y) in rd.iter().zip(rrd) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "np={np} k={k}");
+                for (tree, par) in shapes {
+                    let what = format!("np={np} k={k} {tree:?} {par:?}");
+                    let replicated = lra_comm::run_infallible(np, |ctx| {
+                        let sel = tournament_columns_spmd(ctx, &a, None, k, tree, par);
+                        (sel.selected, sel.r_diag)
+                    });
+                    let sharded = lra_comm::run_infallible(np, |ctx| {
+                        let ranges = split_ranges(a.cols(), ctx.size());
+                        let range = lra_par::owned_range(&ranges, ctx.rank());
+                        let shard = ColSlice::from_full(&a, range);
+                        let (sel, panel) =
+                            tournament_columns_spmd_sharded(ctx, &shard, k, tree, par);
+                        (sel.selected, sel.r_diag, panel)
+                    });
+                    for (rank, (sel, rd, panel)) in sharded.iter().enumerate() {
+                        let (rsel, rrd) = &replicated[rank];
+                        assert_eq!(sel, rsel, "{what} rank={rank}");
+                        assert_eq!(rd.len(), rrd.len());
+                        for (x, y) in rd.iter().zip(rrd) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{what}");
+                        }
+                        // The broadcast panel is an exact copy of the
+                        // selected columns.
+                        assert_eq!(*panel, a.select_columns(sel), "{what}");
                     }
-                    // The broadcast panel is an exact copy of the
-                    // selected columns.
-                    assert_eq!(*panel, a.select_columns(sel), "np={np} k={k}");
                 }
             }
         }
@@ -339,7 +356,7 @@ mod tests {
             let ranges = split_ranges(a.cols(), ctx.size());
             let range = lra_par::owned_range(&ranges, ctx.rank());
             let shard = ColSlice::from_full(&a, range);
-            tournament_columns_spmd_sharded(ctx, &shard, 3).0.selected
+            tournament_columns_spmd_sharded(ctx, &shard, 3, BIN, SEQ).0.selected
         });
         assert_eq!(results[0].len(), 3);
         for r in &results {
@@ -351,7 +368,7 @@ mod tests {
     fn r_diag_broadcast_everywhere() {
         let a = rand_sparse(64, 32, 4, 5);
         let results = lra_comm::run_infallible(3, |ctx| {
-            tournament_columns_spmd(ctx, &a, None, 4).r_diag
+            tournament_columns_spmd(ctx, &a, None, 4, BIN, SEQ).r_diag
         });
         assert!(!results[0].is_empty());
         for r in &results[1..] {

@@ -9,11 +9,16 @@
 //! chunked, memory-bounded incremental QR over row blocks, which is the
 //! sparse-panel substitute for SuiteSparseQR.
 //!
-//! Asymptotic cost matches the paper's `O(16 k^2 nnz(A))` for both flat
-//! and binary trees.
+//! Cost: every node densifies its `<= 2k` candidate columns over all
+//! `m` rows before the QR, so a node costs `O(m k^2)` whatever the
+//! panel's sparsity, and a tournament over `n` candidates costs
+//! `O(m n k)` for both flat and binary trees. That is not the paper's
+//! `O(16 k^2 nnz(A))` sparse-QR bound: leaf panels of the M1'-M5'
+//! presets touch only a few percent of their rows, and a panel that
+//! gathers just those rows is an open roadmap item.
 
 use crate::source::ColumnSource;
-use lra_dense::{qr, qrcp, DenseMatrix, Numerics};
+use lra_dense::{qr, qrcp, DenseMatrix};
 use lra_par::{parallel_for, Parallelism};
 
 /// Shape of the reduction tree (Section V; an ablation axis).
@@ -122,63 +127,6 @@ pub fn panel_r<S: ColumnSource + ?Sized>(src: &S, idx: &[usize], par: Parallelis
     acc.unwrap_or_else(|| DenseMatrix::zeros(0, c))
 }
 
-/// [`panel_r`] with an explicit [`Numerics`] mode. In `Fast` mode the
-/// per-chunk `R` factors are merged by a fixed pairwise binary tree
-/// (the "tournament norms" tree reduction): each merge is one small
-/// stacked QR, and the tree shape depends only on the chunk count —
-/// which the chunk grid derives from the panel shape alone — so Fast
-/// results are deterministic across worker counts, just not equal to
-/// the sequential fold of the `Bitwise` path.
-pub fn panel_r_mode<S: ColumnSource + ?Sized>(
-    src: &S,
-    idx: &[usize],
-    par: Parallelism,
-    numerics: Numerics,
-) -> DenseMatrix {
-    if !numerics.is_fast() {
-        return panel_r(src, idx, par);
-    }
-    let m = src.rows();
-    let c = idx.len();
-    if c == 0 {
-        return DenseMatrix::zeros(0, 0);
-    }
-    let chunk = (4 * c).max(256).min(m.max(1));
-    let nchunks = m.div_ceil(chunk).max(1);
-    if nchunks <= 1 {
-        let panel = src.gather(idx, 0..m);
-        return qr(&panel, par).r();
-    }
-    // Per-chunk Rs in parallel into fixed slots.
-    let mut level: Vec<DenseMatrix> = vec![DenseMatrix::zeros(0, 0); nchunks];
-    {
-        let ptr = level.as_mut_ptr() as usize;
-        parallel_for(par, nchunks, 1, |range| {
-            for b in range {
-                let lo = b * chunk;
-                let hi = ((b + 1) * chunk).min(m);
-                let block = src.gather(idx, lo..hi);
-                let r = qr(&block, Parallelism::SEQ).r();
-                // SAFETY: each slot written by exactly one task.
-                unsafe { *(ptr as *mut DenseMatrix).add(b) = r };
-            }
-        });
-    }
-    // Fixed binary-tree merge; the odd node passes through unchanged.
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(x) = it.next() {
-            match it.next() {
-                Some(y) => next.push(qr(&x.vcat(&y), Parallelism::SEQ).r()),
-                None => next.push(x),
-            }
-        }
-        level = next;
-    }
-    level.pop().expect("non-empty merge tree")
-}
-
 /// Rank the candidate columns `idx` at one tournament node: QRCP on the
 /// panel `R`, returning up to `k` winners (in pivot order) plus the
 /// QRCP `R` diagonal.
@@ -187,9 +135,8 @@ fn node_select<S: ColumnSource + ?Sized>(
     idx: &[usize],
     k: usize,
     par: Parallelism,
-    numerics: Numerics,
 ) -> (Vec<usize>, Vec<f64>) {
-    let r = panel_r_mode(src, idx, par, numerics);
+    let r = panel_r(src, idx, par);
     let f = qrcp(&r, k);
     let winners: Vec<usize> = f.perm[..f.steps.min(k)].iter().map(|&p| idx[p]).collect();
     (winners, f.r_diag())
@@ -207,21 +154,6 @@ pub fn tournament_columns<S: ColumnSource + ?Sized>(
     tree: TournamentTree,
     par: Parallelism,
 ) -> ColumnSelection {
-    tournament_columns_mode(src, candidates, k, tree, par, Numerics::Bitwise)
-}
-
-/// [`tournament_columns`] with an explicit [`Numerics`] mode, threaded
-/// into every node's panel-`R` factorization (see [`panel_r_mode`]).
-/// The tournament structure itself — leaf blocks, merge order, QRCP
-/// ranking — is identical in both modes.
-pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
-    src: &S,
-    candidates: Option<&[usize]>,
-    k: usize,
-    tree: TournamentTree,
-    par: Parallelism,
-    numerics: Numerics,
-) -> ColumnSelection {
     let all: Vec<usize>;
     let cand: &[usize] = match candidates {
         Some(c) => c,
@@ -233,7 +165,7 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
     assert!(k > 0, "tournament with k = 0");
     if cand.len() <= k {
         // Nothing to select; still compute r_diag for the estimate.
-        let (sel, rd) = node_select(src, cand, k, par, numerics);
+        let (sel, rd) = node_select(src, cand, k, par);
         return ColumnSelection {
             selected: sel,
             r_diag: rd,
@@ -250,7 +182,7 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
             for b in range {
                 let lo = b * block;
                 let hi = ((b + 1) * block).min(cand.len());
-                let (sel, _) = node_select(src, &cand[lo..hi], k, Parallelism::SEQ, numerics);
+                let (sel, _) = node_select(src, &cand[lo..hi], k, Parallelism::SEQ);
                 // SAFETY: each slot written by one task.
                 unsafe { *(level_ptr as *mut Vec<usize>).add(b) = sel };
             }
@@ -269,8 +201,7 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
                         for p in range {
                             let mut merged = level_ref[2 * p].clone();
                             merged.extend_from_slice(&level_ref[2 * p + 1]);
-                            let (sel, _) =
-                                node_select(src, &merged, k, Parallelism::SEQ, numerics);
+                            let (sel, _) = node_select(src, &merged, k, Parallelism::SEQ);
                             // SAFETY: disjoint slots.
                             unsafe { *(next_ptr as *mut Vec<usize>).add(p) = sel };
                         }
@@ -288,7 +219,7 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
             for b in level.iter().skip(1) {
                 let mut merged = acc.clone();
                 merged.extend_from_slice(b);
-                let (sel, _) = node_select(src, &merged, k, par, numerics);
+                let (sel, _) = node_select(src, &merged, k, par);
                 acc = sel;
             }
             level = vec![acc];
@@ -296,7 +227,7 @@ pub fn tournament_columns_mode<S: ColumnSource + ?Sized>(
     }
     // Root pass: final ranking of the winners (also yields r_diag).
     let winners = &level[0];
-    let (selected, r_diag) = node_select(src, winners, k, par, numerics);
+    let (selected, r_diag) = node_select(src, winners, k, par);
     ColumnSelection { selected, r_diag }
 }
 
@@ -309,19 +240,8 @@ pub fn tournament_rows_dense(
     tree: TournamentTree,
     par: Parallelism,
 ) -> Vec<usize> {
-    tournament_rows_dense_mode(q, k, tree, par, Numerics::Bitwise)
-}
-
-/// [`tournament_rows_dense`] with an explicit [`Numerics`] mode.
-pub fn tournament_rows_dense_mode(
-    q: &DenseMatrix,
-    k: usize,
-    tree: TournamentTree,
-    par: Parallelism,
-    numerics: Numerics,
-) -> Vec<usize> {
     let qt = q.transpose();
-    tournament_columns_mode(&qt, None, k, tree, par, numerics).selected
+    tournament_columns(&qt, None, k, tree, par).selected
 }
 
 #[cfg(test)]
@@ -485,49 +405,6 @@ mod tests {
         assert_eq!(s1.selected, s2.selected, "tournament must be deterministic");
     }
 
-    #[test]
-    fn fast_panel_r_preserves_gram_and_is_np_stable() {
-        // Tall panel so several chunks form and the fast tree actually
-        // merges. The Gram matrix (what pivot ranking consumes) must
-        // match the bitwise fold normwise; the fast result itself must
-        // be bitwise stable across worker counts (shape-only tree).
-        let a = rand_sparse(1400, 6, 5, 13);
-        let idx: Vec<usize> = (0..6).collect();
-        let r_bit = panel_r(&a, &idx, Parallelism::SEQ);
-        let r_fast = panel_r_mode(&a, &idx, Parallelism::new(1), Numerics::Fast);
-        let g_bit = lra_dense::matmul_tn(&r_bit, &r_bit, Parallelism::SEQ);
-        let g_fast = lra_dense::matmul_tn(&r_fast, &r_fast, Parallelism::SEQ);
-        assert!(g_bit.max_abs_diff(&g_fast) < 1e-10 * (1.0 + g_bit.max_abs()));
-        let r_fast4 = panel_r_mode(&a, &idx, Parallelism::new(4), Numerics::Fast);
-        for (x, y) in r_fast.as_slice().iter().zip(r_fast4.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "fast panel must be np-stable");
-        }
-    }
-
-    #[test]
-    fn fast_tournament_is_np_stable() {
-        let a = rand_sparse(150, 64, 5, 14);
-        let s1 = tournament_columns_mode(
-            &a,
-            None,
-            8,
-            TournamentTree::Binary,
-            Parallelism::new(1),
-            Numerics::Fast,
-        );
-        let s2 = tournament_columns_mode(
-            &a,
-            None,
-            8,
-            TournamentTree::Binary,
-            Parallelism::new(4),
-            Numerics::Fast,
-        );
-        assert_eq!(s1.selected, s2.selected);
-        for (x, y) in s1.r_diag.iter().zip(&s2.r_diag) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
 }
 
 /// Ablation variant of [`panel_r`]: compute the panel `R` through the
