@@ -1,6 +1,7 @@
 //! Gated micro-benchmark for the compute kernels under the drivers:
-//! the cache-blocked dense GEMM, the fill-aware hybrid Schur path, and
-//! the comm/compute overlap of the per-panel re-shard.
+//! the cache-blocked dense GEMM and the comm/compute overlap of the
+//! per-panel re-shard, plus an ungated ILUT_CRTP sweep on a fill-heavy
+//! preset whose runs are the report's entries.
 //!
 //! Three claims are enforced, not just measured (exit 1 on regression):
 //!
@@ -8,10 +9,9 @@
 //!    [`GEMM_MIN_SPEEDUP`]x at `n = `[`GEMM_N`] (best-of-[`REPS`],
 //!    sequential, after a bitwise-equality sanity check — the blocked
 //!    kernel is required to reproduce naive summation order exactly).
-//! 2. **Hybrid Schur** (`dense_switch` at the benchmarked default)
-//!    must not regress the ILUT_CRTP sweep: best-of-[`REPS`] total
-//!    wall across the tau sweep within [`HYBRID_MAX_RATIO`]x of the
-//!    always-sparse run on a fill-heavy preset.
+//! 2. **Fast GEMM** (FMA tiles) must beat the bitwise blocked kernel
+//!    by at least [`FAST_MIN_SPEEDUP`]x at the same size, after a
+//!    normwise sanity check against the bitwise result.
 //! 3. **Overlap** must hide at least [`OVERLAP_MIN_HIDDEN`] of the
 //!    re-shard wall the eager sharded driver pays blocked on the wire
 //!    at `np = `[`OVERLAP_NP`]: the overlapped pipeline's skew-free
@@ -26,16 +26,14 @@
 //!
 //! The `BENCH_kernels.json` report (frozen v1 schema) carries one
 //! entry per ILUT run plus dimensionless `kernel.*` gauges
-//! (`gemm_speedup`, `gemm_fast_speedup`, `ilut_hybrid_ratio`,
-//! `dense_switch_cols`, `overlap_hidden_ratio`) under `metrics`, so CI
-//! can diff machine-independent ratios against the committed baseline
-//! in `results/`.
+//! (`gemm_speedup`, `gemm_fast_speedup`, `overlap_hidden_ratio`) under
+//! `metrics`, so CI can diff machine-independent ratios against the
+//! committed baseline in `results/`.
 
 use lra_bench::{fmt_s, timed, BenchConfig, USAGE};
 use lra_comm::RunConfig;
 use lra_core::{
     ilut_crtp, ilut_crtp_spmd, ilut_crtp_spmd_eager, IlutOpts, LuCrtpResult, Parallelism,
-    DEFAULT_DENSE_SWITCH,
 };
 use lra_dense::{matmul, matmul_mode, matmul_naive, DenseMatrix, Numerics};
 use lra_obs::{BenchEntry, BenchReport, KernelTime, MetricsRegistry, BENCH_SCHEMA_VERSION};
@@ -49,11 +47,6 @@ const GEMM_MIN_SPEEDUP: f64 = 2.0;
 /// `n = `[`GEMM_N`]. The FMA tile retires one fused op where the
 /// bitwise tile needs a multiply and an add plus a zero-skip branch.
 const FAST_MIN_SPEEDUP: f64 = 1.15;
-/// Maximum hybrid-over-sparse ILUT sweep wall ratio. The two paths
-/// are within noise of each other on the presets (the switch guards
-/// against fill pathologies rather than speeding the common case), so
-/// the gate is a no-regression bound with headroom for timer jitter.
-const HYBRID_MAX_RATIO: f64 = 1.10;
 /// Best-of repetitions for the GEMM section (best-of damps CI runner
 /// noise; the gated quantities are ratios of bests).
 const REPS: usize = 5;
@@ -64,15 +57,8 @@ const GEMM_FAST_REPS: usize = 12;
 /// Independent median-of-paired-ratio rounds for the fast gate; the
 /// best round's median gates (see the comment at the measurement).
 const FAST_ROUNDS: usize = 3;
-/// Interleaved repetitions per ILUT variant (cheaper runs, tighter
-/// gate — more samples).
+/// Best-of repetitions per ILUT sweep point.
 const ILUT_REPS: usize = 7;
-/// Measurement passes for the hybrid gate: the first pass that clears
-/// the gate wins; a miss triggers one full re-measure before the run
-/// is declared a regression. A contended phase on a shared runner can
-/// cover every repetition of one side of the pair — a real hybrid
-/// slowdown reproduces in both passes.
-const HYBRID_PASSES: usize = 2;
 /// Block size for the ILUT sweep.
 const BLOCK_K: usize = 16;
 /// Rank count for the overlap gate — the acceptance point of the
@@ -115,7 +101,7 @@ fn main() {
 
     println!("KERNEL BENCH (schema v{BENCH_SCHEMA_VERSION})");
     let gemm_ok = gemm_gate(&reg);
-    let hybrid_ok = hybrid_gate(&cfg, &reg, &mut entries);
+    ilut_sweep(&cfg, &reg, &mut entries);
     let overlap_ok = overlap_gate(&cfg, &reg);
 
     let report = BenchReport {
@@ -136,7 +122,7 @@ fn main() {
         .unwrap_or_else(|err| fail(&format!("cannot write {out_path}: {err}")));
     println!("wrote {out_path} ({} entries)", report.entries.len());
 
-    if !(gemm_ok && hybrid_ok && overlap_ok) {
+    if !(gemm_ok && overlap_ok) {
         std::process::exit(1);
     }
 }
@@ -152,7 +138,8 @@ fn dense_operand(n: usize, salt: u64) -> DenseMatrix {
     })
 }
 
-/// Gate 1: blocked GEMM >= [`GEMM_MIN_SPEEDUP`]x naive at n = [`GEMM_N`].
+/// Gates 1 and 2: blocked GEMM >= [`GEMM_MIN_SPEEDUP`]x naive and fast
+/// GEMM >= [`FAST_MIN_SPEEDUP`]x blocked at n = [`GEMM_N`].
 fn gemm_gate(reg: &MetricsRegistry) -> bool {
     let a = dense_operand(GEMM_N, 1);
     let b = dense_operand(GEMM_N, 2);
@@ -261,10 +248,11 @@ fn gemm_gate(reg: &MetricsRegistry) -> bool {
     true
 }
 
-/// Gate 2: hybrid Schur does not regress the ILUT sweep wall-clock.
-fn hybrid_gate(cfg: &BenchConfig, reg: &MetricsRegistry, entries: &mut Vec<BenchEntry>) -> bool {
+/// The report's entries: best-of-[`ILUT_REPS`] ILUT_CRTP runs over a
+/// tau sweep on a fill-heavy preset. Measured, not gated.
+fn ilut_sweep(cfg: &BenchConfig, reg: &MetricsRegistry, entries: &mut Vec<BenchEntry>) {
     // Fill-heavy coupled fluid blocks with decay: the Schur complement
-    // densifies within a few panels, so the switch actually engages.
+    // densifies within a few panels.
     let dim_blocks = if cfg.quick { 48 } else { 72 } * cfg.scale.max(1);
     let a = lra_matgen::with_decay(&lra_matgen::fluid_block(dim_blocks, 10, 31), 1e-7, 33);
     let label = format!("fluid{dim_blocks}x10");
@@ -276,83 +264,21 @@ fn hybrid_gate(cfg: &BenchConfig, reg: &MetricsRegistry, entries: &mut Vec<Bench
         a.nnz()
     );
 
-    let sweep = |entries: &mut Vec<BenchEntry>| -> (f64, f64, f64) {
-        let mut sparse_total = 0.0;
-        let mut hybrid_total = 0.0;
-        let mut dense_cols_total = 0.0;
-        for &tau in taus {
-            let opts = IlutOpts::new(BLOCK_K, tau, 4);
-            let mut hopts = opts.clone();
-            hopts.base = hopts.base.with_dense_switch(DEFAULT_DENSE_SWITCH);
-
-            // Interleave the repetitions so clock drift and sibling load
-            // perturb both variants alike instead of biasing the ratio.
-            let (sparse_s, hybrid_s, sparse_res, hybrid_res) =
-                best_of_pair(ILUT_REPS, || ilut_crtp(&a, &opts), || ilut_crtp(&a, &hopts));
-            // `ilut_crtp` publishes the transition count for the run it
-            // just finished; fold the per-tau counts into a total.
-            if let Some(lra_obs::metrics::MetricValue::Gauge(v)) =
-                lra_obs::metrics::global().get("kernel.dense_switch")
-            {
-                dense_cols_total += v;
-            }
-            println!(
-                "  tau={tau:.0e}: sparse {} hybrid {} (rank {}, converged {})",
-                fmt_s(sparse_s),
-                fmt_s(hybrid_s),
-                hybrid_res.rank,
-                hybrid_res.converged
-            );
-            entries.push(entry(&a, &label, tau, sparse_s, &sparse_res, "ilut_crtp"));
-            entries.push(entry(&a, &label, tau, hybrid_s, &hybrid_res, "ilut_crtp_hybrid"));
-            sparse_total += sparse_s;
-            hybrid_total += hybrid_s;
-        }
-        (sparse_total, hybrid_total, dense_cols_total)
-    };
-
-    // Gate on the best of up to [`HYBRID_PASSES`] full measurement
-    // passes; the common (uncontended) case clears on the first pass
-    // and pays nothing extra.
-    let mut best: Option<(f64, f64, f64, Vec<BenchEntry>)> = None;
-    for pass in 0..HYBRID_PASSES {
-        let mut pass_entries = Vec::new();
-        let (s, h, d) = sweep(&mut pass_entries);
-        let r = h / s.max(1e-12);
-        if best.as_ref().is_none_or(|(bs, bh, _, _)| r < bh / bs.max(1e-12)) {
-            best = Some((s, h, d, pass_entries));
-        }
-        if r <= HYBRID_MAX_RATIO {
-            break;
-        }
-        if pass + 1 < HYBRID_PASSES {
-            println!("  ratio {r:.3} above {HYBRID_MAX_RATIO} — re-measuring");
-        }
+    let mut total = 0.0;
+    for &tau in taus {
+        let opts = IlutOpts::new(BLOCK_K, tau, 4);
+        let (wall, res) = best_of(ILUT_REPS, || ilut_crtp(&a, &opts));
+        println!(
+            "  tau={tau:.0e}: {} (rank {}, converged {})",
+            fmt_s(wall),
+            res.rank,
+            res.converged
+        );
+        entries.push(entry(&a, &label, tau, wall, &res, "ilut_crtp"));
+        total += wall;
     }
-    let (sparse_total, hybrid_total, dense_cols_total, best_entries) =
-        best.expect("HYBRID_PASSES >= 1");
-    entries.extend(best_entries);
-
-    let ratio = hybrid_total / sparse_total.max(1e-12);
-    reg.set_gauge("kernel.ilut_sparse_s", sparse_total);
-    reg.set_gauge("kernel.ilut_hybrid_s", hybrid_total);
-    reg.set_gauge("kernel.ilut_hybrid_ratio", ratio);
-    reg.set_gauge("kernel.dense_switch_cols", dense_cols_total);
-    println!(
-        "ilut sweep: sparse {} hybrid {} ratio {ratio:.3} (gate <= {HYBRID_MAX_RATIO}), \
-         {dense_cols_total} dense-switched columns",
-        fmt_s(sparse_total),
-        fmt_s(hybrid_total)
-    );
-    if dense_cols_total <= 0.0 {
-        eprintln!("FAIL: hybrid run never engaged the dense switch — preset not fill-heavy");
-        return false;
-    }
-    if ratio > HYBRID_MAX_RATIO {
-        eprintln!("FAIL: hybrid ILUT sweep ratio {ratio:.3} above {HYBRID_MAX_RATIO}");
-        return false;
-    }
-    true
+    reg.set_gauge("kernel.ilut_sparse_s", total);
+    println!("ilut sweep: {}", fmt_s(total));
 }
 
 /// Gate 3: the overlapped re-shard hides >= [`OVERLAP_MIN_HIDDEN`] of
@@ -378,7 +304,7 @@ fn hybrid_gate(cfg: &BenchConfig, reg: &MetricsRegistry, entries: &mut Vec<Bench
 /// compute cannot reduce skew waits but deferring the drain behind the
 /// concat still empties the channels before `complete` looks at them.
 fn overlap_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
-    // Same fill-heavy family as the hybrid gate: fill keeps the
+    // Same fill-heavy family as the ILUT sweep: fill keeps the
     // re-shard payloads (and therefore the eager wire wait) large
     // enough to measure against timer resolution.
     let dim_blocks = if cfg.quick { 36 } else { 56 } * cfg.scale.max(1);
@@ -446,29 +372,18 @@ fn overlap_gate(cfg: &BenchConfig, reg: &MetricsRegistry) -> bool {
     true
 }
 
-/// Interleaved best-of-`reps` for two variants of the same
-/// (deterministic) computation: alternating the measurements keeps
-/// slow drift from loading one side of the ratio.
-fn best_of_pair(
-    reps: usize,
-    mut f: impl FnMut() -> LuCrtpResult,
-    mut g: impl FnMut() -> LuCrtpResult,
-) -> (f64, f64, LuCrtpResult, LuCrtpResult) {
-    let (mut fres, mut fbest) = timed(&mut f);
-    let (mut gres, mut gbest) = timed(&mut g);
+/// Best-of-`reps` wall time of a deterministic run, with the result of
+/// the fastest repetition.
+fn best_of(reps: usize, mut f: impl FnMut() -> LuCrtpResult) -> (f64, LuCrtpResult) {
+    let (mut res, mut best) = timed(&mut f);
     for _ in 1..reps {
         let (r, s) = timed(&mut f);
-        if s < fbest {
-            fbest = s;
-            fres = r;
-        }
-        let (r, s) = timed(&mut g);
-        if s < gbest {
-            gbest = s;
-            gres = r;
+        if s < best {
+            best = s;
+            res = r;
         }
     }
-    (fbest, gbest, fres, gres)
+    (best, res)
 }
 
 fn entry(

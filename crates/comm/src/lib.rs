@@ -41,8 +41,8 @@
 //!
 //! ## Nonblocking collectives
 //!
-//! [`Ctx::post_alltoallv`], [`Ctx::post_scatterv`], and
-//! [`Ctx::post_gatherv`] split a size-aware collective into a *post*
+//! [`Ctx::post_alltoallv`] splits the size-aware personalized
+//! all-to-all into a *post*
 //! (all sends happen immediately — sends never block here) and a
 //! deferred completion barrier on the returned [`PendingExchange`].
 //! Compute run between post and [`PendingExchange::complete`] hides
@@ -91,10 +91,9 @@ const COLL: u64 = 1 << 63;
 /// Control-channel namespace (top two bits): poison broadcast.
 const CTRL_POISON: u64 = COLL | (1 << 62);
 /// Nonblocking-exchange namespace: each posted exchange gets a unique
-/// tag `PENDING | (seq << 3) | base`, where `seq` is the rank-local
-/// post counter (kept in lockstep across ranks by the uniform
-/// program-order contract) and `base` is the family's eager collective
-/// tag (4 = scatterv, 5 = gatherv, 6 = alltoallv). Unique tags mean a
+/// tag `PENDING | (seq << 3) | 6`, where `seq` is the rank-local post
+/// counter (kept in lockstep across ranks by the uniform program-order
+/// contract) and `6` is the eager alltoallv tag. Unique tags mean a
 /// pending exchange can never steal — or feed — envelopes belonging to
 /// an eager collective or another pending exchange, no matter how much
 /// compute (including other collectives) runs between post and
@@ -823,14 +822,14 @@ impl Ctx {
         }))
     }
 
-    /// Allocate the unique tag for the next nonblocking exchange of
-    /// family `base` (the eager tag low bits: 4/5/6). Every rank posts
+    /// Allocate the unique tag for the next nonblocking alltoallv
+    /// (low bits: the eager alltoallv tag 6). Every rank posts
     /// exchanges in the same program order, so rank-local counters
     /// agree group-wide without communication.
-    fn next_pending_tag(&self, base: u64) -> u64 {
+    fn next_pending_tag(&self) -> u64 {
         let seq = self.pending_seq.get();
         self.pending_seq.set(seq + 1);
-        PENDING | (seq << 3) | base
+        PENDING | (seq << 3) | 6
     }
 
     /// Chaos hook at the completion barrier of a pending exchange: the
@@ -876,7 +875,7 @@ impl Ctx {
     /// recv watchdog — a peer dying mid-overlap surfaces as a typed
     /// [`CommError`] at `complete`, never a hang or a torn result.
     pub fn post_alltoallv<M: Send + 'static>(&self, parts: Vec<M>) -> PendingExchange<'_, M> {
-        let tag = self.next_pending_tag(6);
+        let tag = self.next_pending_tag();
         let slots = unwrap_comm(self.collective("alltoallv.post", || {
             assert_eq!(
                 parts.len(),
@@ -894,86 +893,10 @@ impl Ctx {
             }
             Ok(slots)
         }));
-        self.finish_post(tag, "alltoallv.complete", slots)
-    }
-
-    /// Nonblocking [`Ctx::scatterv`]: the root posts one part to every
-    /// rank now; each rank's [`PendingExchange::complete`] returns a
-    /// one-element vector holding its share. See
-    /// [`Ctx::post_alltoallv`] for overlap and fault semantics.
-    pub fn post_scatterv<M: Send + 'static>(
-        &self,
-        root: usize,
-        parts: Option<Vec<M>>,
-    ) -> PendingExchange<'_, M> {
-        let tag = self.next_pending_tag(4);
-        let slots = unwrap_comm(self.collective("scatterv.post", || {
-            if self.rank == root {
-                let parts = parts.expect("post_scatterv: root must supply parts");
-                assert_eq!(
-                    parts.len(),
-                    self.size,
-                    "post_scatterv: root must supply one part per rank"
-                );
-                let mut own = None;
-                for (dst, part) in parts.into_iter().enumerate() {
-                    if dst == self.rank {
-                        own = Some(part);
-                    } else {
-                        self.send_msg(dst, tag, part)?;
-                    }
-                }
-                Ok(vec![PendingSlot::Ready(
-                    own.expect("post_scatterv: own part present"),
-                )])
-            } else {
-                Ok(vec![PendingSlot::From(root)])
-            }
-        }));
-        self.finish_post(tag, "scatterv.complete", slots)
-    }
-
-    /// Nonblocking [`Ctx::gatherv`]: every rank posts its contribution
-    /// now; the root's [`PendingExchange::complete`] returns all parts
-    /// in rank order, every other rank's returns an empty vector. See
-    /// [`Ctx::post_alltoallv`] for overlap and fault semantics.
-    pub fn post_gatherv<M: Send + 'static>(&self, root: usize, mine: M) -> PendingExchange<'_, M> {
-        let tag = self.next_pending_tag(5);
-        let slots = unwrap_comm(self.collective("gatherv.post", || {
-            if self.rank == root {
-                let mut slots = Vec::with_capacity(self.size);
-                let mut own = Some(mine);
-                for src in 0..self.size {
-                    if src == self.rank {
-                        slots.push(PendingSlot::Ready(
-                            own.take().expect("post_gatherv: own part present"),
-                        ));
-                    } else {
-                        slots.push(PendingSlot::From(src));
-                    }
-                }
-                Ok(slots)
-            } else {
-                self.send_msg(root, tag, mine)?;
-                Ok(Vec::new())
-            }
-        }));
-        self.finish_post(tag, "gatherv.complete", slots)
-    }
-
-    /// Shared tail of every `post_*`: count the post, mark the trace,
-    /// and start the overlap-window clock.
-    fn finish_post<M: Send + 'static>(
-        &self,
-        tag: u64,
-        complete_name: &'static str,
-        slots: Vec<PendingSlot<M>>,
-    ) -> PendingExchange<'_, M> {
         self.stats.borrow_mut().overlap_posted += 1;
         lra_obs::trace::instant("comm.overlap.post");
         PendingExchange {
             ctx: self,
-            complete_name,
             tag,
             slots,
             posted_at: Instant::now(),
@@ -1046,8 +969,7 @@ enum PendingSlot<M> {
 }
 
 /// A posted-but-not-completed nonblocking exchange (see
-/// [`Ctx::post_alltoallv`], [`Ctx::post_scatterv`],
-/// [`Ctx::post_gatherv`]). All sends already happened at post time;
+/// [`Ctx::post_alltoallv`]). All sends already happened at post time;
 /// this handle owns the receive side. Complete it with
 /// [`PendingExchange::complete`] (barrier: returns every part) or
 /// [`PendingExchange::complete_with`] (streaming: hands each part to a
@@ -1063,7 +985,6 @@ enum PendingSlot<M> {
 #[must_use = "a posted exchange must be completed before its results are needed"]
 pub struct PendingExchange<'a, M> {
     ctx: &'a Ctx,
-    complete_name: &'static str,
     tag: u64,
     slots: Vec<PendingSlot<M>>,
     posted_at: Instant,
@@ -1071,11 +992,9 @@ pub struct PendingExchange<'a, M> {
 
 impl<M: Send + 'static> PendingExchange<'_, M> {
     /// Completion barrier: drain every outstanding receive (ascending
-    /// source order) and return the parts in slot order — for
-    /// `post_alltoallv` that is `out[s]` = the part rank `s` addressed
-    /// to us, exactly like the eager [`Ctx::alltoallv`]; for
-    /// `post_scatterv` a one-element vector; for `post_gatherv` all
-    /// parts on the root and an empty vector elsewhere.
+    /// source order) and return the parts in slot order — `out[s]` is
+    /// the part rank `s` addressed to us, exactly like the eager
+    /// [`Ctx::alltoallv`].
     pub fn complete(self) -> Vec<M> {
         let mut out = Vec::with_capacity(self.slots.len());
         self.complete_with(|_, m| out.push(m));
@@ -1105,7 +1024,7 @@ impl<M: Send + 'static> PendingExchange<'_, M> {
         ctx.overlap_fault_point();
         let slots = std::mem::take(&mut self.slots);
         let tag = self.tag;
-        unwrap_comm(ctx.collective(self.complete_name, || {
+        unwrap_comm(ctx.collective("alltoallv.complete", || {
             for (i, slot) in slots.into_iter().enumerate() {
                 match slot {
                     PendingSlot::Ready(m) => sink(i, m),
@@ -1503,21 +1422,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn post_scatterv_and_gatherv_roundtrip() {
-        let out = run_infallible(4, |ctx| {
-            let parts = (ctx.rank() == 1).then(|| (0..4usize).map(|r| r * r).collect());
-            let pend = ctx.post_scatterv(1, parts);
-            let noise = ctx.allreduce(1usize, |a, b| a + b);
-            let mine = pend.complete().pop().expect("scatterv share");
-            let back = ctx.post_gatherv(2, mine + noise);
-            ctx.barrier();
-            back.complete()
-        });
-        assert!(out[0].is_empty() && out[1].is_empty() && out[3].is_empty());
-        assert_eq!(out[2], vec![4, 5, 8, 13], "r*r + np gathered in rank order");
     }
 
     #[test]

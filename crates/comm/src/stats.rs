@@ -89,8 +89,7 @@ pub struct CommStats {
     /// [`COLLECTIVE_FAMILIES`]. Point-to-point sends outside any
     /// collective are counted in [`CommStats::bytes_sent`] only.
     pub bytes_on_wire: [u64; 8],
-    /// Nonblocking exchanges posted via
-    /// [`crate::Ctx::post_alltoallv`] / `post_scatterv` / `post_gatherv`.
+    /// Nonblocking exchanges posted via [`crate::Ctx::post_alltoallv`].
     pub overlap_posted: u64,
     /// Nanoseconds of compute run between posting a nonblocking
     /// exchange and entering its completion barrier — the window the

@@ -39,7 +39,7 @@ pub use explore::{
 pub use lucrtp::{
     ilut_crtp, ilut_crtp_checkpointed, lu_crtp, lu_crtp_checkpointed, Breakdown, DropStrategy,
     IlutOpts, InvalidInput, IterTrace, LFormation, LuCrtpOpts, LuCrtpResult, MemStats,
-    OrderingMode, ThresholdReport, DEFAULT_DENSE_SWITCH,
+    OrderingMode, ThresholdReport,
 };
 pub use outcome::{Interrupted, JobId, Outcome, Parked, ResumeHandle};
 pub use qb::{rand_qb_ei, rand_qb_ei_checkpointed, QbError, QbOpts, QbResult, QB_INDICATOR_FLOOR};

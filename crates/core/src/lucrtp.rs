@@ -18,7 +18,7 @@ use crate::timers::KernelTimers;
 use lra_dense::{DenseMatrix, Numerics};
 use lra_par::{parallel_map_fold, Parallelism};
 use lra_qrtp::TournamentTree;
-use lra_sparse::{CscMatrix, SparseAccumulator};
+use lra_sparse::CscMatrix;
 
 /// When to apply the fill-reducing (COLAMD + etree postorder)
 /// preprocessing — the ablation axis of Fig. 1 (left).
@@ -95,11 +95,6 @@ pub enum InvalidInput {
         /// The offending value.
         value: f64,
     },
-    /// `dense_switch` must be finite and in `(0, 1]` when set.
-    BadDenseSwitch {
-        /// The offending threshold.
-        dense_switch: f64,
-    },
     /// A resume was attempted under a different [`Numerics`] mode than
     /// the checkpoint was written with. Mode fixes the floating-point
     /// chain, so silently switching would break the bitwise-within-mode
@@ -131,9 +126,6 @@ impl std::fmt::Display for InvalidInput {
             }
             InvalidInput::NonFiniteEntry { row, col, value } => {
                 write!(f, "input matrix entry ({row}, {col}) is not finite: {value}")
-            }
-            InvalidInput::BadDenseSwitch { dense_switch } => {
-                write!(f, "dense_switch must be finite and in (0, 1], got {dense_switch}")
             }
             InvalidInput::NumericsModeMismatch { stored, requested } => {
                 write!(
@@ -184,14 +176,6 @@ pub struct LuCrtpOpts {
     pub max_rank: Option<usize>,
     /// How `L21` is computed.
     pub l_formation: LFormation,
-    /// Fill-aware hybrid Schur kernel: when a column's predicted
-    /// density (`min(nnz(a22 col) + |x_rows|, m) / m`) reaches this
-    /// fraction, the column merge switches from the sparse two-pointer
-    /// path to a dense scatter through the sparse accumulator. `None`
-    /// (the default) keeps the always-sparse path; both paths are
-    /// bitwise identical, so this is a pure performance knob — see
-    /// [`DEFAULT_DENSE_SWITCH`] for the benchmarked setting.
-    pub dense_switch: Option<f64>,
     /// Floating-point evaluation mode for the kernel layer:
     /// [`Numerics::Bitwise`] (the default) keeps the reference fp
     /// chains, [`Numerics::Fast`] opts into FMA Schur-update dots and
@@ -210,14 +194,6 @@ pub struct LuCrtpOpts {
     /// then.
     pub budget: lra_recover::Budget,
 }
-
-/// Benchmark-tuned default for [`LuCrtpOpts::dense_switch`]: switch a
-/// column to the dense scatter path once its predicted fill reaches a
-/// quarter of the column height. At that density the two-pointer merge
-/// and the per-`q` correction gather both touch `O(m)` entries anyway,
-/// so the branch-free scatter wins (`kernel_bench`'s ILUT sweep gates
-/// that this never regresses the always-sparse path).
-pub const DEFAULT_DENSE_SWITCH: f64 = 0.25;
 
 impl LuCrtpOpts {
     /// Defaults matching the paper's setup: first-iteration COLAMD,
@@ -246,7 +222,6 @@ impl LuCrtpOpts {
             par: Parallelism::SEQ,
             max_rank: None,
             l_formation: LFormation::Direct,
-            dense_switch: None,
             numerics: Numerics::Bitwise,
             budget: lra_recover::Budget::unlimited(),
         })
@@ -254,13 +229,7 @@ impl LuCrtpOpts {
 
     /// Re-check the invariants (for options assembled field-by-field).
     pub fn validate(&self) -> Result<(), InvalidInput> {
-        Self::try_new(self.k, self.tau)?;
-        if let Some(d) = self.dense_switch {
-            if !d.is_finite() || d <= 0.0 || d > 1.0 {
-                return Err(InvalidInput::BadDenseSwitch { dense_switch: d });
-            }
-        }
-        Ok(())
+        Self::try_new(self.k, self.tau).map(|_| ())
     }
 
     /// Builder-style parallelism setter.
@@ -278,22 +247,6 @@ impl LuCrtpOpts {
     /// Builder-style rank cap setter.
     pub fn with_max_rank(mut self, max_rank: usize) -> Self {
         self.max_rank = Some(max_rank);
-        self
-    }
-
-    /// Builder-style dense-switch setter (see
-    /// [`LuCrtpOpts::dense_switch`]; pass [`DEFAULT_DENSE_SWITCH`] for
-    /// the benchmarked setting). Panics on an out-of-range threshold;
-    /// assemble the field directly and call [`LuCrtpOpts::validate`]
-    /// for the non-panicking path.
-    pub fn with_dense_switch(mut self, dense_switch: f64) -> Self {
-        if !dense_switch.is_finite() || dense_switch <= 0.0 || dense_switch > 1.0 {
-            panic!(
-                "LuCrtpOpts::with_dense_switch: {}",
-                InvalidInput::BadDenseSwitch { dense_switch }
-            );
-        }
-        self.dense_switch = Some(dense_switch);
         self
     }
 
@@ -415,10 +368,6 @@ pub struct MemStats {
     pub peak_rank_bytes: u64,
     /// Max over ranks of the peak resident Schur-shard nonzeros.
     pub peak_rank_nnz: u64,
-    /// Total Schur-update columns (summed over ranks and iterations)
-    /// that crossed the [`LuCrtpOpts::dense_switch`] threshold and took
-    /// the dense scatter path; `0` when the knob is off.
-    pub dense_switch_cols: u64,
 }
 
 /// One iteration of the factorization trace.
@@ -621,13 +570,11 @@ pub fn ilut_crtp_checkpointed(
     crate::spmd::drive_one_rank(a, &opts.base, Some(opts), hooks)
 }
 
-/// Reusable scratch for the Schur-update kernels, owned by each driver
+/// Reusable scratch for the Schur-update kernel, owned by each driver
 /// and threaded through every iteration so the inner loops allocate
-/// nothing: the sparse accumulator behind the dense scatter path, the
-/// per-column correction vector, and the transpose target buffer
-/// recycled by [`CscMatrix::transpose_into`].
+/// nothing: the per-column correction vector and the transpose target
+/// buffer recycled by [`CscMatrix::transpose_into`].
 pub(crate) struct SchurWorkspace {
-    spa: SparseAccumulator,
     corr: Vec<f64>,
     pub(crate) tbuf: CscMatrix,
 }
@@ -635,7 +582,6 @@ pub(crate) struct SchurWorkspace {
 impl SchurWorkspace {
     pub(crate) fn new() -> Self {
         SchurWorkspace {
-            spa: SparseAccumulator::new(),
             corr: Vec::new(),
             tbuf: CscMatrix::zeros(0, 0),
         }
@@ -663,21 +609,20 @@ pub(crate) fn schur_update_ranged(
     xt: &DenseMatrix,
     a12: &CscMatrix,
     range: std::ops::Range<usize>,
-    dense_switch: Option<f64>,
     ws: &mut SchurWorkspace,
     par: Parallelism,
     numerics: Numerics,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>, u64) {
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
     if !par.is_parallel() {
-        return schur_update_cols(a22, x_rows, xt, a12, range, dense_switch, ws, numerics);
+        return schur_update_cols(a22, x_rows, xt, a12, range, ws, numerics);
     }
-    type Partial = (Vec<usize>, Vec<usize>, Vec<f64>, u64);
+    type Partial = (Vec<usize>, Vec<usize>, Vec<f64>);
     let lo = range.start;
     parallel_map_fold(
         par,
         range.len(),
         SCHUR_GRAIN,
-        (Vec::new(), Vec::new(), Vec::new(), 0u64),
+        (Vec::new(), Vec::new(), Vec::new()),
         |r| -> Partial {
             let mut chunk_ws = SchurWorkspace::new();
             schur_update_cols(
@@ -686,7 +631,6 @@ pub(crate) fn schur_update_ranged(
                 xt,
                 a12,
                 lo + r.start..lo + r.end,
-                dense_switch,
                 &mut chunk_ws,
                 numerics,
             )
@@ -695,26 +639,24 @@ pub(crate) fn schur_update_ranged(
             acc.0.extend(part.0);
             acc.1.extend(part.1);
             acc.2.extend(part.2);
-            acc.3 += part.3;
             acc
         },
     )
 }
 
 /// Schur-complement kernel for a contiguous column range: returns the
-/// per-column entry counts, concatenated row indices and values, and
-/// the count of columns that took the dense path. Shared by the
+/// per-column entry counts and the concatenated row indices and values
+/// of `A22 - X^T A12` restricted to `range`. Shared by the
 /// thread-parallel and the SPMD (rank-distributed) drivers.
 ///
-/// Per column the kernel is fill-aware: when `dense_switch` is set and
-/// the column's predicted density `min(nnz(a22 col) + |x_rows|, m) / m`
-/// reaches the threshold, the merge runs as a dense scatter through the
-/// workspace's [`SparseAccumulator`] instead of the sparse two-pointer
-/// walk. Both paths replay identical per-row floating-point chains
-/// (`corr` accumulation in ascending `t`, then `a22 - corr` / `-corr`)
-/// and emit rows ascending with the same drop-exact-zero rule, so the
-/// result is bitwise independent of the threshold — the property the
-/// sharded-vs-replicated oracle tests rely on.
+/// Per column, the correction `corr[q] = sum_t a12[t, j] * xt[t, q]`
+/// is accumulated in ascending `t` (fused per step in Fast mode), then
+/// merged with the stored `a22` column by a sparse two-pointer walk
+/// that emits rows ascending. Stored entries no correction touches are
+/// copied verbatim (explicit zeros included); a corrected entry or a
+/// fill that comes out exactly `0.0` is dropped. Columns are computed
+/// independently, which the sharded-vs-replicated oracle tests and the
+/// overlapped re-shard's piecewise updates rely on.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn schur_update_cols(
     a22: &CscMatrix,
@@ -722,11 +664,9 @@ pub(crate) fn schur_update_cols(
     xt: &DenseMatrix,
     a12: &CscMatrix,
     range: std::ops::Range<usize>,
-    dense_switch: Option<f64>,
     ws: &mut SchurWorkspace,
     numerics: Numerics,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>, u64) {
-    let m = a22.rows();
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
     let k = xt.rows();
     let nr = x_rows.len();
     let fast = numerics.is_fast();
@@ -735,7 +675,6 @@ pub(crate) fn schur_update_cols(
     let mut lens = Vec::with_capacity(range.len());
     let mut rows_out = Vec::new();
     let mut vals_out = Vec::new();
-    let mut dense_cols = 0u64;
     let xt_data = xt.as_slice();
     for j in range {
         let (ti, tv) = a12.col(j);
@@ -748,77 +687,225 @@ pub(crate) fn schur_update_cols(
             lens.push(rows_out.len() - before);
             continue;
         }
-        let go_dense = dense_switch
-            .is_some_and(|thr| m > 0 && ((ai.len() + nr).min(m)) as f64 >= thr * m as f64);
-        if go_dense {
-            dense_cols += 1;
-            let spa = &mut ws.spa;
-            spa.begin(m);
-            for (&r, &v) in ai.iter().zip(av) {
-                spa.set_keep(r, v);
-            }
-            for (q, &r) in x_rows.iter().enumerate() {
-                // corr[q] = sum_t a12[t, j] * xt[t, q] over column q of
-                // xt (contiguous), fused with its application. Fast
-                // mode fuses each step (the same chain the sparse path
-                // below replays, so hybrid == sparse holds per mode).
-                let xtc = &xt_data[q * k..q * k + k];
-                let mut acc = 0.0;
-                if fast {
-                    for (&t, &v) in ti.iter().zip(tv) {
-                        acc = v.mul_add(xtc[t], acc);
-                    }
-                } else {
-                    for (&t, &v) in ti.iter().zip(tv) {
-                        acc += v * xtc[t];
-                    }
+        for (q, cr) in ws.corr.iter_mut().enumerate() {
+            // Column q of xt is contiguous.
+            let xtc = &xt_data[q * k..q * k + k];
+            let mut acc = 0.0;
+            if fast {
+                for (&t, &v) in ti.iter().zip(tv) {
+                    acc = v.mul_add(xtc[t], acc);
                 }
-                spa.apply_sub(r, acc);
-            }
-            spa.extract_append(&mut rows_out, &mut vals_out);
-        } else {
-            for (q, cr) in ws.corr.iter_mut().enumerate() {
-                let xtc = &xt_data[q * k..q * k + k];
-                let mut acc = 0.0;
-                if fast {
-                    for (&t, &v) in ti.iter().zip(tv) {
-                        acc = v.mul_add(xtc[t], acc);
-                    }
-                } else {
-                    for (&t, &v) in ti.iter().zip(tv) {
-                        acc += v * xtc[t];
-                    }
+            } else {
+                for (&t, &v) in ti.iter().zip(tv) {
+                    acc += v * xtc[t];
                 }
-                *cr = acc;
             }
-            let corr = &ws.corr;
-            // Merge a22 column with -corr at x_rows.
-            let mut p = 0usize; // into a22 col
-            let mut q = 0usize; // into x_rows
-            while p < ai.len() || q < nr {
-                if q >= nr || (p < ai.len() && ai[p] < x_rows[q]) {
+            *cr = acc;
+        }
+        let corr = &ws.corr;
+        // Merge a22 column with -corr at x_rows.
+        let mut p = 0usize; // into a22 col
+        let mut q = 0usize; // into x_rows
+        while p < ai.len() || q < nr {
+            if q >= nr || (p < ai.len() && ai[p] < x_rows[q]) {
+                rows_out.push(ai[p]);
+                vals_out.push(av[p]);
+                p += 1;
+            } else if p >= ai.len() || x_rows[q] < ai[p] {
+                let v = -corr[q];
+                if v != 0.0 {
+                    rows_out.push(x_rows[q]);
+                    vals_out.push(v);
+                }
+                q += 1;
+            } else {
+                let v = av[p] - corr[q];
+                if v != 0.0 {
                     rows_out.push(ai[p]);
-                    vals_out.push(av[p]);
-                    p += 1;
-                } else if p >= ai.len() || x_rows[q] < ai[p] {
-                    let v = -corr[q];
-                    if v != 0.0 {
-                        rows_out.push(x_rows[q]);
-                        vals_out.push(v);
-                    }
-                    q += 1;
-                } else {
-                    let v = av[p] - corr[q];
-                    if v != 0.0 {
-                        rows_out.push(ai[p]);
-                        vals_out.push(v);
-                    }
-                    p += 1;
-                    q += 1;
+                    vals_out.push(v);
                 }
+                p += 1;
+                q += 1;
             }
         }
         lens.push(rows_out.len() - before);
     }
-    (lens, rows_out, vals_out, dense_cols)
+    (lens, rows_out, vals_out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// CSC from per-column `(row, value)` lists, explicit zeros kept.
+    fn csc(rows: usize, cols: &[&[(usize, f64)]]) -> CscMatrix {
+        let mut colptr = vec![0];
+        let (mut ri, mut vs) = (Vec::new(), Vec::new());
+        for col in cols {
+            for &(r, v) in *col {
+                ri.push(r);
+                vs.push(v);
+            }
+            colptr.push(ri.len());
+        }
+        CscMatrix::from_parts(rows, cols.len(), colptr, ri, vs)
+    }
+
+    /// One kernel output as per-column `(row, value)` lists.
+    fn columns(out: &(Vec<usize>, Vec<usize>, Vec<f64>)) -> Vec<Vec<(usize, f64)>> {
+        let (lens, rows, vals) = out;
+        let mut at = 0;
+        lens.iter()
+            .map(|&l| {
+                let col = (at..at + l).map(|i| (rows[i], vals[i])).collect();
+                at += l;
+                col
+            })
+            .collect()
+    }
+
+    fn modes() -> [(Parallelism, Numerics); 4] {
+        let two = Parallelism::new(2);
+        [
+            (Parallelism::SEQ, Numerics::Bitwise),
+            (Parallelism::SEQ, Numerics::Fast),
+            (two, Numerics::Bitwise),
+            (two, Numerics::Fast),
+        ]
+    }
+
+    #[test]
+    fn schur_update_matches_dense_reference_and_drop_rules() {
+        let (m, k) = (5, 2);
+        let x_rows = [1, 3];
+        // Column q of xt is the pivot-row weight vector for x_rows[q].
+        let xt = DenseMatrix::from_column_major(k, 2, vec![1.0, 2.0, 2.0, -1.0]);
+        let a12 = csc(
+            k,
+            &[
+                &[],
+                &[(0, 1.0), (1, 1.0)],
+                &[(0, 1.0), (1, 2.0)],
+                &[(1, 3.0)],
+            ],
+        );
+        let a22 = csc(
+            m,
+            &[
+                // Untouched column with a stored explicit zero.
+                &[(2, 0.0), (4, 7.0)],
+                // Explicit zero off x_rows (kept); 3.0 at row 1 meets
+                // a correction of exactly 3.0 (cancels, dropped).
+                &[(0, 0.0), (1, 3.0), (4, 2.0)],
+                // The fill at row 3 is exactly 2*1 + (-1)*2 = 0 (dropped).
+                &[(4, 1.0)],
+                &[(1, 1.0), (3, 4.0)],
+            ],
+        );
+        let expect: Vec<Vec<(usize, f64)>> = vec![
+            vec![(2, 0.0), (4, 7.0)],
+            vec![(0, 0.0), (3, -1.0), (4, 2.0)],
+            vec![(1, -5.0), (4, 1.0)],
+            vec![(1, -5.0), (3, 7.0)],
+        ];
+        // Dense reference A22 - X^T A12, with X^T scattered to x_rows.
+        let mut reference = a22.to_dense();
+        let a12d = a12.to_dense();
+        for (q, &r) in x_rows.iter().enumerate() {
+            for j in 0..a22.cols() {
+                let corr: f64 = (0..k).map(|t| xt.get(t, q) * a12d.get(t, j)).sum();
+                reference.set(r, j, reference.get(r, j) - corr);
+            }
+        }
+        for (par, numerics) in modes() {
+            let mut ws = SchurWorkspace::new();
+            let out = schur_update_ranged(&a22, &x_rows, &xt, &a12, 0..4, &mut ws, par, numerics);
+            assert_eq!(columns(&out), expect, "{par:?} {numerics}");
+            let (lens, rows, vals) = out;
+            let mut colptr = vec![0];
+            colptr.extend(lens.iter().scan(0, |run, &l| {
+                *run += l;
+                Some(*run)
+            }));
+            let got = CscMatrix::from_parts(m, 4, colptr, rows, vals).to_dense();
+            assert_eq!(got.as_slice(), reference.as_slice(), "{par:?} {numerics}");
+        }
+    }
+
+    #[test]
+    fn schur_update_pieces_concatenate_to_one_pass_bitwise() {
+        // Non-integer values so the fp chains matter; every seventh
+        // column is left untouched by A12 to cover the copy path.
+        let (m, n, k) = (40, 90, 3);
+        let mut h = 0x9e37_79b9_7f4a_7c15u64;
+        let mut val = move || {
+            h ^= h << 13;
+            h ^= h >> 7;
+            h ^= h << 17;
+            (h % 2001) as f64 / 997.0 - 1.0
+        };
+        let x_rows: Vec<usize> = (0..m).filter(|r| r % 3 != 1).collect();
+        let xt = DenseMatrix::from_fn(k, x_rows.len(), |_, _| val());
+        let a12_cols: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|j| {
+                let touched = j % 7 != 3;
+                (0..k)
+                    .filter(|t| touched && (j + t) % 4 != 0)
+                    .map(|t| (t, val()))
+                    .collect()
+            })
+            .collect();
+        let a22_cols: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|j| {
+                (0..m)
+                    .filter(|r| (r * 5 + j) % 6 == 0)
+                    .map(|r| (r, val()))
+                    .collect()
+            })
+            .collect();
+        let a12 = csc(k, &a12_cols.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let a22 = csc(m, &a22_cols.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let bits = |(lens, rows, vals): &(Vec<usize>, Vec<usize>, Vec<f64>)| {
+            let vals: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
+            (lens.clone(), rows.clone(), vals)
+        };
+        let splits: [&[usize]; 4] = [&[], &[1], &[17, 18, 64], &[5, 32, 33, 70, 89]];
+        for (par, numerics) in modes() {
+            let mut ws = SchurWorkspace::new();
+            // One sequential pass is the reference for every worker count.
+            let whole = schur_update_ranged(
+                &a22,
+                &x_rows,
+                &xt,
+                &a12,
+                0..n,
+                &mut ws,
+                Parallelism::SEQ,
+                numerics,
+            );
+            for cuts in splits {
+                let bounds: Vec<usize> = std::iter::once(0)
+                    .chain(cuts.iter().copied())
+                    .chain([n])
+                    .collect();
+                let mut cat = (Vec::new(), Vec::new(), Vec::new());
+                for w in bounds.windows(2) {
+                    let (l, r, v) = schur_update_ranged(
+                        &a22,
+                        &x_rows,
+                        &xt,
+                        &a12,
+                        w[0]..w[1],
+                        &mut ws,
+                        par,
+                        numerics,
+                    );
+                    cat.0.extend(l);
+                    cat.1.extend(r);
+                    cat.2.extend(v);
+                }
+                assert_eq!(bits(&cat), bits(&whole), "{par:?} {numerics} cuts {cuts:?}");
+            }
+        }
+    }
 }

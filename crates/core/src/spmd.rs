@@ -375,17 +375,12 @@ struct SpmdPanelCtx<'a> {
     /// Intra-rank worker count for the owned-range kernels (local
     /// tournament stage, Schur update, threshold pass) — `opts.par`.
     par: Parallelism,
-    /// Fill-aware hybrid threshold for the Schur kernel
-    /// (`opts.dense_switch`).
-    dense_switch: Option<f64>,
     /// Kernel numerics mode (`opts.numerics`): reaches the Schur
     /// update and the indicator partials; the distributed tournament
     /// and panel TSQR stay bitwise in both modes (module docs).
     numerics: Numerics,
-    /// Columns this rank routed through the dense scatter path.
-    dense_cols: u64,
     /// Kernel scratch reused across iterations (transpose target,
-    /// sparse accumulator).
+    /// correction vector).
     ws: SchurWorkspace,
     /// Retired re-shard part buffers recycled across panel iterations:
     /// [`Self::build_reshard_parts`] pops donors instead of allocating
@@ -408,9 +403,7 @@ impl<'a> SpmdPanelCtx<'a> {
             n_cur,
             tree: opts.tree,
             par: opts.par,
-            dense_switch: opts.dense_switch,
             numerics: opts.numerics,
-            dense_cols: 0,
             ws: SchurWorkspace::new(),
             part_pool: Vec::new(),
             peak_bytes: 0,
@@ -696,18 +689,16 @@ impl<'a> SpmdPanelCtx<'a> {
         }
         let my_new = owned_range(&new_ranges, self.rank);
         debug_assert_eq!(a22_own.cols(), my_new.len());
-        let (lens, rows_out, vals_out, dc) = schur_update_ranged(
+        let (lens, rows_out, vals_out) = schur_update_ranged(
             &a22_own,
             x_rows,
             xt,
             &a12_own,
             0..a22_own.cols(),
-            self.dense_switch,
             &mut self.ws,
             self.par,
             self.numerics,
         );
-        self.dense_cols += dc;
         let mut colptr = Vec::with_capacity(lens.len() + 1);
         colptr.push(0);
         let mut run = 0usize;
@@ -800,34 +791,22 @@ impl<'a> SpmdPanelCtx<'a> {
         let mut lens: Vec<usize> = Vec::with_capacity(my_new.len());
         let mut rows_out: Vec<usize> = Vec::new();
         let mut vals_out: Vec<f64> = Vec::new();
-        let mut dc_total = 0u64;
         {
             let ws = &mut self.ws;
             let pool = &mut self.part_pool;
-            let (dense_switch, par, numerics) = (self.dense_switch, self.par, self.numerics);
+            let (par, numerics) = (self.par, self.numerics);
             pend.complete_with(|_src, (p12, p22): (CscMatrix, CscMatrix)| {
                 debug_assert_eq!(p22.rows(), m_rest);
-                let (l, r, v, dc) = schur_update_ranged(
-                    &p22,
-                    x_rows,
-                    xt,
-                    &p12,
-                    0..p22.cols(),
-                    dense_switch,
-                    ws,
-                    par,
-                    numerics,
-                );
+                let (l, r, v) =
+                    schur_update_ranged(&p22, x_rows, xt, &p12, 0..p22.cols(), ws, par, numerics);
                 lens.extend(l);
                 rows_out.extend(r);
                 vals_out.extend(v);
-                dc_total += dc;
                 pool.push(p12);
                 pool.push(p22);
             });
         }
         debug_assert_eq!(lens.len(), my_new.len());
-        self.dense_cols += dc_total;
         let mut colptr = Vec::with_capacity(lens.len() + 1);
         colptr.push(0);
         let mut run = 0usize;
@@ -989,17 +968,15 @@ impl<'a> SpmdPanelCtx<'a> {
         }
     }
 
-    /// Max-over-ranks peak shard storage plus the summed dense-path
-    /// column count (identical on every rank).
+    /// Max-over-ranks peak shard storage (identical on every rank).
     fn mem_stats(&self) -> MemStats {
-        let (bytes, nnz, dense_cols) = self.ctx.allreduce(
-            (self.peak_bytes as u64, self.peak_nnz as u64, self.dense_cols),
-            |x, y| (x.0.max(y.0), x.1.max(y.1), x.2 + y.2),
+        let (bytes, nnz) = self.ctx.allreduce(
+            (self.peak_bytes as u64, self.peak_nnz as u64),
+            |x, y| (x.0.max(y.0), x.1.max(y.1)),
         );
         MemStats {
             peak_rank_bytes: bytes,
             peak_rank_nnz: nnz,
-            dense_switch_cols: dense_cols,
         }
     }
 }
@@ -1435,9 +1412,6 @@ fn drive_spmd_sharded(
         let g = lra_obs::metrics::global();
         g.set_gauge("mem.peak_rank_bytes", mem.peak_rank_bytes as f64);
         g.set_gauge("mem.peak_rank_nnz", mem.peak_rank_nnz as f64);
-        if opts.dense_switch.is_some() {
-            g.set_gauge("kernel.dense_switch", mem.dense_switch_cols as f64);
-        }
     }
 
     // Materialize the factors on rank 0, then one final broadcast so
@@ -1793,13 +1767,12 @@ fn drive_spmd_replicated(
             let n_rest = a22.cols();
             let ranges = split_ranges(n_rest, size);
             let my_range = owned_range(&ranges, rank);
-            let (lens_p, rows_p, vals_p, _dense) = schur_update_ranged(
+            let (lens_p, rows_p, vals_p) = schur_update_ranged(
                 &a22,
                 &x_rows,
                 &xt,
                 &a12,
                 my_range,
-                opts.dense_switch,
                 &mut schur_ws,
                 opts.par,
                 opts.numerics,

@@ -609,6 +609,17 @@ mod tests {
         }
     }
 
+    /// Held by every test that loads a corrupt generation: each such
+    /// load bumps the process-global `recover.corrupt_checkpoint` (and
+    /// possibly `recover.rollback`) counter, so serializing them keeps
+    /// the exact-delta assertions free of sibling-test interference.
+    static CORRUPT_LOADS: Mutex<()> = Mutex::new(());
+
+    fn corrupt_loads_lock() -> std::sync::MutexGuard<'static, ()> {
+        // A failing sibling poisons the lock; the guarded state is `()`.
+        CORRUPT_LOADS.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[derive(Debug)]
     struct Toy {
         it: usize,
@@ -735,6 +746,7 @@ mod tests {
 
     #[test]
     fn corrupt_newest_generation_rolls_back() {
+        let _serial = corrupt_loads_lock();
         let dir = temp_dir("rollback");
         let path = dir.join("ckpt.json");
         let store = CheckpointStore::on_disk(&path);
@@ -757,6 +769,7 @@ mod tests {
 
     #[test]
     fn bit_flip_is_caught_by_the_crc() {
+        let _serial = corrupt_loads_lock();
         let dir = temp_dir("bitflip");
         let path = dir.join("ckpt.json");
         let store = CheckpointStore::on_disk(&path);
@@ -776,6 +789,7 @@ mod tests {
 
     #[test]
     fn all_generations_corrupt_is_a_typed_error() {
+        let _serial = corrupt_loads_lock();
         let store = CheckpointStore::in_memory();
         // An inconsistent state (missing xs) decodes as Corrupt; with
         // no older generation to fall back to, load must surface the
@@ -865,6 +879,7 @@ mod tests {
 
     #[test]
     fn injected_torn_write_rolls_back_at_load() {
+        let _serial = corrupt_loads_lock();
         let store = CheckpointStore::in_memory()
             .with_faults(StorageFaultPlan::new().torn_write_at(1, 30));
         store.save(&Toy { it: 1, xs: vec![1.0] }).unwrap();

@@ -65,7 +65,7 @@ impl Algorithm {
         use std::fmt::Write as _;
         let _ = write!(
             s,
-            "{}|k={}|tau={:016x}|ord={:?}|tree={:?}|par={:?}|mr={:?}|lf={:?}|ds={:?}|num={}",
+            "{}|k={}|tau={:016x}|ord={:?}|tree={:?}|par={:?}|mr={:?}|lf={:?}|num={}",
             self.tag(),
             b.k,
             b.tau.to_bits(),
@@ -74,7 +74,6 @@ impl Algorithm {
             b.par,
             b.max_rank,
             b.l_formation,
-            b.dense_switch.map(f64::to_bits),
             b.numerics.as_str(),
         );
         if let Algorithm::IlutCrtp(o) = self {
